@@ -1,16 +1,16 @@
-"""Deploying the §7 communication tree for real.
+"""The §7 communication tree: semantics, in-process tree, deployment.
 
-Everything below :mod:`repro.multilayer` is *semantics* -- which node
-aggregates what, when an upload happens.  This package is *deployment*:
-
+:mod:`repro.cluster.tree`
+    The tree itself: :class:`InternalNode` (coordinator over children,
+    upload gate toward the parent, :func:`mixture_change`), the one
+    aggregation step both runners share, and :class:`TransportTree` --
+    the one in-process tree, every edge the star's own ARQ endpoint
+    over loopback or seeded-lossy links.  Backs the tree tests, the
+    crash/resume suite and the soak.
 :mod:`repro.cluster.spec`
     The tree as declarative data (:class:`ClusterSpec`): topology,
     ports, streams, shared parameters; JSON round-trip for launches
     reproducible from a file.
-:mod:`repro.cluster.tree`
-    :class:`TransportTree` -- the whole tree in one process, every edge
-    a real ARQ transport link (loopback or seeded-lossy).  Backs the
-    ported multilayer tests, the crash/resume suite and the soak.
 :mod:`repro.cluster.launcher`
     :class:`ClusterLauncher` -- one OS process per node over TCP
     sockets, spawn-safe, with port rendezvous, ordered shutdown and
@@ -36,13 +36,19 @@ from repro.cluster.spec import (
     save_spec,
     with_ports,
 )
-from repro.cluster.tree import LevelStats, TransportTree
+from repro.cluster.tree import (
+    InternalNode,
+    LevelStats,
+    TransportTree,
+    mixture_change,
+)
 
 __all__ = [
     "ClusterLaunchError",
     "ClusterLauncher",
     "ClusterResult",
     "ClusterSpec",
+    "InternalNode",
     "LevelStats",
     "NodeHandle",
     "NodeSpec",
@@ -51,6 +57,7 @@ __all__ = [
     "build_spec",
     "load_spec",
     "make_stream",
+    "mixture_change",
     "run_soak",
     "save_spec",
     "site_records",

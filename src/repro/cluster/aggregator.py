@@ -1,11 +1,12 @@
 """One aggregator process of a deployed §7 tree.
 
 :class:`AggregatorServer` is a :class:`~repro.transport.tcp.CoordinatorServer`
-whose delivery path runs an :class:`~repro.multilayer.tree.InternalNode`
-instead of a bare coordinator: every child payload is absorbed into the
-node's local coordinator, and -- when the node is not the root -- the
-resulting uploads (gated on :func:`~repro.multilayer.tree.mixture_change`)
-are forwarded to the parent aggregator over an *uplink*: a second TCP
+whose delivery path runs :func:`~repro.cluster.tree.aggregate_child` on
+an :class:`~repro.cluster.tree.InternalNode` instead of a bare
+coordinator: every child payload is absorbed into the node's local
+coordinator, and -- when the node is not the root -- the resulting
+uploads (gated on :func:`~repro.cluster.tree.mixture_change`) are
+forwarded to the parent aggregator over an *uplink*: a second TCP
 connection carrying the same ``TPT1`` envelopes through a
 :class:`~repro.transport.reliability.ReliableSender`.  To its parent an
 aggregator is indistinguishable from a site; to its children it is
@@ -25,8 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.cluster.tree import InternalNode, aggregate_child
 from repro.core.serde import CodecConfig, get_codec
-from repro.multilayer.tree import InternalNode
 from repro.obs.observer import Observer
 from repro.transport.clock import AsyncioClock
 from repro.transport.framing import StreamDecoder
@@ -43,7 +44,7 @@ class AggregatorServer(CoordinatorServer):
     Parameters
     ----------
     node:
-        The :class:`~repro.multilayer.tree.InternalNode` holding this
+        The :class:`~repro.cluster.tree.InternalNode` holding this
         aggregator's coordinator, upload gate and accounting.
     expected_children:
         Children that must report DONE before :meth:`wait_done`
@@ -231,21 +232,16 @@ class AggregatorServer(CoordinatorServer):
     # Delivery: child payload -> node -> (maybe) parent
     # ------------------------------------------------------------------
     def _deliver(self, child_id: int, payload: bytes, trace=None) -> None:
-        message = self.codec.decode(payload)
+        aggregate_child(
+            self.node,
+            self.codec.decode(payload),
+            self._uplink_codec,
+            self._obs,
+            child_id=child_id,
+            level=self.level,
+            trace=trace,
+        )
         obs = self._obs
-        with obs.remote_parent(trace):
-            with obs.span(
-                "cluster.aggregate",
-                node=self.node.node_id,
-                child=child_id,
-                level=self.level,
-            ):
-                uploads = self.node.handle_child_message(message)
-                if self._uplink_codec is not None:
-                    for upload in uploads:
-                        self._uplink_codec.send(
-                            upload, trace=obs.span_context()
-                        )
         obs.gauge_set(
             "cluster.node_messages_up",
             float(self.node.messages_up),

@@ -203,9 +203,9 @@ async def _aggregator_main(
     import os
 
     from repro.cluster.aggregator import AggregatorServer
+    from repro.cluster.tree import InternalNode
     from repro.core.coordinator import Coordinator
     from repro.io.checkpoint import load_aggregator, save_aggregator
-    from repro.multilayer.tree import InternalNode
     from repro.obs import (
         FederationCollector,
         FederationPublisher,

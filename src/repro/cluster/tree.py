@@ -1,42 +1,53 @@
-"""The §7 tree over the real transport stack, in one process.
+"""The §7 communication tree, in one process.
 
-:class:`TransportTree` carries the exact semantics of
-:class:`repro.multilayer.tree.TreeNetwork` -- every internal node runs
-coordinator merge/split over its children and uploads to its parent only
-on :func:`~repro.multilayer.tree.mixture_change` -- but every tree edge
-is a real :mod:`repro.transport` link: serde-encoded payloads inside
-``TPT1`` envelopes, a :class:`~repro.transport.reliability.ReliableSender`
-per child, a :class:`~repro.transport.reliability.ReliableReceiver` per
-aggregator, and optional seeded fault injection per subnet.  The same
-object therefore backs three jobs:
+"A more complex and general distributed streams scenario is the
+tree-structured hierarchy of the communication network.  By running the
+CluDistream between each internal node and its children, we can compute
+the Gaussian mixture model over the union of streams on the leaf nodes."
 
-* the multilayer test suite ported onto the transport stack (loopback
-  and lossy links must reproduce the simulated-network results);
-* the aggregator crash/resume suite (an internal node is snapshotted
-  with its ARQ edge state and rebuilt mid-run);
-* the 1000-site soak harness (:mod:`repro.cluster.soak`), which needs
-  per-level byte accounting straight off the wire.
+Stream sources sit at the leaves; every :class:`InternalNode` runs the
+coordinator over its children and uploads its summary to *its* parent
+only when its locally-observed global mixture changes (per
+:func:`mixture_change`) -- the stability property that keeps the flat
+protocol quiet, applied recursively.  :func:`aggregate_child` is that
+one aggregation step; the in-process :class:`TransportTree` and the
+deployed :class:`~repro.cluster.aggregator.AggregatorServer` both run it.
+
+:class:`TransportTree` is the one in-process tree.  Every edge is the
+star's own :class:`~repro.transport.endpoint.SiteEndpoint`:
+serde-encoded payloads inside ``TPT1`` envelopes over a
+:class:`~repro.transport.reliability.ReliableSender`, delivered to a
+:class:`~repro.transport.reliability.ReliableReceiver` per aggregator,
+with optional seeded fault injection per subnet.  It backs the tree
+test suite (loopback and lossy links must reach the same root), the
+aggregator crash/resume suite (an internal node is snapshotted with its
+ARQ edge state and rebuilt mid-run) and the 1000-site soak harness
+(:mod:`repro.cluster.soak`), which needs per-level byte accounting
+straight off the wire.
 
 Each aggregator owns one *subnet*: the transport instance its children
-(sites or lower aggregators) send into.  Spans adopt the envelope's
-propagated context on delivery and re-propagate from the upload path,
-so a chunk test at a leaf, the aggregation at its gateway and the merge
-at the root land on one causally linked trace.
+(sites or lower aggregators) send into.  Node ids double as message
+``site_id`` values on each hop, so the standard
+:mod:`repro.core.protocol` vocabulary and byte accounting work unchanged
+on every level.  Spans adopt the envelope's propagated context on
+delivery and re-propagate from the upload path, so a chunk test at a
+leaf, the aggregation at its gateway and the merge at the root land on
+one causally linked trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.coordinator import Coordinator, CoordinatorConfig
 from repro.core.mixture import GaussianMixture
+from repro.core.protocol import Message, ModelUpdateMessage
 from repro.core.remote import RemoteSite, RemoteSiteConfig
 from repro.core.serde import CodecConfig, WireCodec, get_codec
 from repro.io.checkpoint import restore_aggregator, snapshot_aggregator
-from repro.multilayer.tree import InternalNode
 from repro.obs.federation import (
     FederationCollector,
     FederationPublisher,
@@ -45,16 +56,137 @@ from repro.obs.federation import (
 from repro.obs.observer import Observer, ensure_observer
 from repro.transport.base import DatagramTransport
 from repro.transport.clock import ManualClock
+from repro.transport.endpoint import SiteEndpoint
+from repro.transport.endpoint import drain as drain_endpoints
 from repro.transport.loopback import LoopbackTransport
 from repro.transport.lossy import FaultConfig, LossyTransport
-from repro.transport.reliability import (
-    ReliabilityConfig,
-    ReliableReceiver,
-    ReliableSender,
-)
+from repro.transport.reliability import ReliabilityConfig, ReliableReceiver
 from repro.transport.wire import CodecSender
 
-__all__ = ["LevelStats", "TransportTree"]
+__all__ = [
+    "InternalNode",
+    "LevelStats",
+    "TransportTree",
+    "aggregate_child",
+    "mixture_change",
+]
+
+#: ARQ tuning of every tree edge; without jitter a seeded lossy run
+#: stays deterministic.
+_RELIABILITY = ReliabilityConfig(jitter=0.0, heartbeat_interval=None)
+
+
+def mixture_change(old: GaussianMixture | None, new: GaussianMixture) -> float:
+    """A cheap change score between two mixtures.
+
+    Component counts differing scores ``inf`` (a structural change
+    always uploads).  Otherwise components are greedily matched by mean
+    distance and the score is the largest matched symmetric Mahalanobis
+    distance plus the total weight shift -- zero for identical models.
+    """
+    if old is None or old.n_components != new.n_components:
+        return float("inf")
+    remaining = list(range(new.n_components))
+    worst = 0.0
+    weight_shift = 0.0
+    for i, old_component in enumerate(old.components):
+        best_j = min(
+            remaining,
+            key=lambda j: float(
+                np.linalg.norm(old_component.mean - new.components[j].mean)
+            ),
+        )
+        remaining.remove(best_j)
+        worst = max(
+            worst,
+            old_component.symmetric_mahalanobis_sq(new.components[best_j]),
+        )
+        weight_shift += abs(old.weights[i] - new.weights[best_j])
+    return worst + weight_shift
+
+
+@dataclass
+class InternalNode:
+    """An internal node: coordinator over children, site toward parent.
+
+    Attributes
+    ----------
+    node_id:
+        Used as the ``site_id`` on messages sent up to the parent.
+    coordinator:
+        Aggregates the children's synopses.
+    parent_id:
+        The parent aggregator; ``None`` for the root, which has no edge
+        to upload on and so runs no upload gate.
+    upload_threshold:
+        Minimal :func:`mixture_change` score that triggers an upload;
+        ``0.0`` uploads on every observable change.
+    """
+
+    node_id: int
+    coordinator: Coordinator
+    parent_id: int | None = None
+    upload_threshold: float = 0.05
+    _last_uploaded: GaussianMixture | None = field(default=None, repr=False)
+    _next_model_id: int = 0
+    messages_up: int = 0
+    bytes_up: int = 0
+
+    def handle_child_message(self, message: Message) -> list[Message]:
+        """Absorb a child's message; maybe emit an upload to the parent."""
+        self.coordinator.handle_message(message)
+        if self.parent_id is None:
+            return []
+        try:
+            summary = self.coordinator.global_mixture()
+        except ValueError:
+            return []
+        if mixture_change(self._last_uploaded, summary) < self.upload_threshold:
+            return []
+        self._last_uploaded = summary
+        upload = ModelUpdateMessage(
+            site_id=self.node_id,
+            model_id=self._allocate_model_id(),
+            time=message.time,
+            mixture=summary,
+            count=max(1, round(sum(c.weight for c in self.coordinator.clusters))),
+            reference_likelihood=0.0,
+        )
+        self.messages_up += 1
+        self.bytes_up += upload.payload_bytes()
+        return [upload]
+
+    def _allocate_model_id(self) -> int:
+        model_id = self._next_model_id
+        self._next_model_id += 1
+        return model_id
+
+
+def aggregate_child(
+    node: InternalNode,
+    message: Message,
+    uplink: CodecSender | None,
+    observer: Observer,
+    *,
+    child_id: int,
+    level: int,
+    trace=None,
+) -> None:
+    """One aggregation step: absorb a child's message, forward uploads.
+
+    Runs under a ``cluster.aggregate`` span parented on the envelope's
+    propagated ``trace`` context; each upload goes out on ``uplink``
+    (``None`` at the root) carrying this span's context, so the parent's
+    merge links back through this hop to the originating leaf.
+    """
+    with observer.remote_parent(trace):
+        with observer.span(
+            "cluster.aggregate", node=node.node_id, child=child_id, level=level
+        ):
+            uploads = node.handle_child_message(message)
+            if uplink is not None:
+                for upload in uploads:
+                    uplink.send(upload, trace=observer.span_context())
 
 
 @dataclass(frozen=True)
@@ -103,10 +235,7 @@ class _InternalWiring:
     transport: DatagramTransport
     receiver: ReliableReceiver
     decoder: WireCodec
-    uplink: ReliableSender | None = None
-    uplink_codec: CodecSender | None = None
-    uplink_wire_codec: str = "cds1"
-    uplink_codec_config: CodecConfig | None = None
+    uplink: SiteEndpoint | None = None
     relay: TelemetryRelay | None = None
     publisher: FederationPublisher | None = None
 
@@ -114,36 +243,28 @@ class _InternalWiring:
 @dataclass
 class _LeafWiring:
     site: RemoteSite
-    parent_id: int
     level: int
-    sender: ReliableSender
-    codec_sender: CodecSender
+    uplink: SiteEndpoint
     publisher: FederationPublisher | None = None
 
 
 class TransportTree:
     """A communication tree whose every edge is a transport link.
 
-    The topology API mirrors :class:`~repro.multilayer.tree.TreeNetwork`
-    (:meth:`add_internal` / :meth:`add_leaf` / :meth:`feed` /
-    :meth:`global_mixture`), so the simulated-network suite ports over
-    unchanged.
+    Build the topology with :meth:`add_internal` / :meth:`add_leaf`
+    (parents must exist before their children), then feed leaf streams
+    through :meth:`feed`; read the root's model with
+    :meth:`global_mixture`.
 
     Parameters
     ----------
     site_config / coordinator_config / seed:
         Templates for leaf sites and internal coordinators.
-    reliability:
-        ARQ tuning shared by every edge; the default disables jitter so
-        a seeded lossy run stays deterministic.
     faults:
         Optional :class:`~repro.transport.lossy.FaultConfig` applied to
         every subnet (each aggregator's subnet gets its own
         deterministic fault stream derived from ``seed``).  ``None``
         runs over loopback: synchronous, loss-free, nothing in flight.
-    clock:
-        Shared :class:`~repro.transport.clock.ManualClock`; owned by the
-        tree when omitted.
     observer:
         Optional observer shared by all senders/receivers; aggregation
         emits ``cluster.aggregate`` spans causally linked across hops.
@@ -155,6 +276,11 @@ class TransportTree:
         of reports up the same transport edges -- in TELEMETRY
         envelopes, outside the ARQ window, so :meth:`level_stats` stays
         identical to a non-federated run.
+    wire_codec / codec_config:
+        Codec spoken on every edge unless a node overrides it.
+
+    Every edge shares one :class:`~repro.transport.clock.ManualClock`,
+    exposed as :attr:`clock`.
     """
 
     def __init__(
@@ -162,9 +288,7 @@ class TransportTree:
         site_config: RemoteSiteConfig | None = None,
         coordinator_config: CoordinatorConfig | None = None,
         seed: int = 0,
-        reliability: ReliabilityConfig | None = None,
         faults: FaultConfig | None = None,
-        clock: ManualClock | None = None,
         observer: Observer | None = None,
         federate: bool = False,
         wire_codec: str = "cds1",
@@ -175,14 +299,13 @@ class TransportTree:
         self._seed = seed
         self._wire_codec = wire_codec
         self._codec_config = codec_config
-        self._reliability = reliability or ReliabilityConfig(
-            jitter=0.0, heartbeat_interval=None
-        )
         self._faults = faults
-        self.clock = clock or ManualClock()
+        self.clock = ManualClock()
         self._obs = ensure_observer(observer)
         self._internals: dict[int, _InternalWiring] = {}
         self._leaves: dict[int, _LeafWiring] = {}
+        #: Every edge's child end (leaf and aggregator uplinks alike).
+        self._edges: list[SiteEndpoint] = []
         self._root_id: int | None = None
         self.records_fed = 0
         self._federate = federate
@@ -203,18 +326,14 @@ class TransportTree:
         spec,
         faults: FaultConfig | None = None,
         observer: Observer | None = None,
-        reliability: ReliabilityConfig | None = None,
-        federate: bool = False,
     ) -> "TransportTree":
         """Instantiate a :class:`~repro.cluster.spec.ClusterSpec` in-process."""
         tree = cls(
             site_config=spec.site_config(),
             coordinator_config=spec.coordinator_config(),
             seed=spec.seed,
-            reliability=reliability,
             faults=faults,
             observer=observer,
-            federate=federate,
             wire_codec=spec.wire_codec,
             codec_config=spec.codec_config(),
         )
@@ -247,8 +366,11 @@ class TransportTree:
     ) -> InternalNode:
         """Add an aggregator; ``parent_id=None`` makes it the root.
 
-        ``wire_codec``/``codec_config`` override the tree-wide codec on
-        this node's *uplink* edge only.
+        ``upload_threshold`` sets how much the node's global mixture
+        must change (per :func:`mixture_change`) before it uploads to
+        its parent -- larger values trade upward freshness for
+        bandwidth.  ``wire_codec``/``codec_config`` override the
+        tree-wide codec on this node's *uplink* edge only.
         """
         self._check_new_id(node_id)
         if parent_id is None:
@@ -268,10 +390,6 @@ class TransportTree:
             parent_id=parent_id,
             upload_threshold=upload_threshold,
         )
-        uplink_wire_codec = wire_codec or self._wire_codec
-        uplink_codec_config = (
-            codec_config if codec_config is not None else self._codec_config
-        )
         wiring = _InternalWiring(
             node=node,
             level=level,
@@ -280,9 +398,13 @@ class TransportTree:
             # The subnet decoder starts at the tree-wide codec; adding a
             # cds2 child upgrades it (cds2 decodes cds1 payloads too).
             decoder=get_codec(self._wire_codec),
-            uplink_wire_codec=uplink_wire_codec,
-            uplink_codec_config=uplink_codec_config,
         )
+        wiring.receiver = self._make_receiver(wiring)
+        if parent_id is not None:
+            wiring.uplink = self._make_uplink(
+                node_id, parent_id, wire_codec, codec_config
+            )
+            self._edges.append(wiring.uplink)
         if self._federate:
             assert self.federation is not None
             self.federation.add_topology_node(
@@ -295,25 +417,19 @@ class TransportTree:
                 "aggregator",
                 level,
                 uplink_stats=lambda w=wiring: (
-                    w.uplink.stats if w.uplink is not None else None
+                    w.uplink.sender.stats if w.uplink is not None else None
                 ),
                 codec_stats=lambda w=wiring: (
-                    w.uplink_codec.stats if w.uplink_codec is not None else None
+                    w.uplink.codec_sender.stats
+                    if w.uplink is not None
+                    else None
                 ),
-                uplink_codec=uplink_wire_codec,
+                uplink_codec=wire_codec or self._wire_codec,
                 gauges=lambda n=node: {
                     "messages_up": n.messages_up,
                     "bytes_up": n.bytes_up,
                     "components": n.coordinator.n_components,
                 },
-            )
-        wiring.receiver = self._make_receiver(wiring)
-        if parent_id is not None:
-            wiring.uplink, wiring.uplink_codec = self._make_uplink(
-                node_id,
-                parent_id,
-                wire_codec=uplink_wire_codec,
-                codec_config=uplink_codec_config,
             )
         self._internals[node_id] = wiring
         return node
@@ -336,31 +452,16 @@ class TransportTree:
         """
         self._check_new_id(node_id)
         parent = self._require_internal(parent_id)
-        edge_codec = wire_codec or self._wire_codec
-        sender, codec_sender = self._make_uplink(
-            node_id,
-            parent_id,
-            wire_codec=edge_codec,
-            codec_config=(
-                codec_config if codec_config is not None else self._codec_config
-            ),
-        )
+        uplink = self._make_uplink(node_id, parent_id, wire_codec, codec_config)
+        self._edges.append(uplink)
         site = RemoteSite(
             site_id=node_id,
             config=config if config is not None else self._site_config,
             rng=np.random.default_rng(self._seed + node_id),
-            emit=lambda message: codec_sender.send(
-                message, trace=self._obs.span_context()
-            ),
+            emit=uplink.send,
             observer=self._obs,
         )
-        wiring = _LeafWiring(
-            site=site,
-            parent_id=parent_id,
-            level=parent.level + 1,
-            sender=sender,
-            codec_sender=codec_sender,
-        )
+        wiring = _LeafWiring(site=site, level=parent.level + 1, uplink=uplink)
         if self._federate:
             assert self.federation is not None
             self.federation.add_topology_node(
@@ -370,11 +471,11 @@ class TransportTree:
                 node_id,
                 "site",
                 wiring.level,
-                uplink_stats=lambda s=sender: s.stats,
-                codec_stats=lambda cs=codec_sender: cs.stats,
-                uplink_codec=edge_codec,
-                records=lambda s=site: s.stats.records_seen,
-                gauges=lambda s=site: {"models": len(s.all_models)},
+                uplink_stats=lambda: uplink.sender.stats,
+                codec_stats=lambda: uplink.codec_sender.stats,
+                uplink_codec=uplink.codec_sender.codec.name,
+                records=lambda: site.stats.records_seen,
+                gauges=lambda: {"models": len(site.all_models)},
             )
         self._leaves[node_id] = wiring
         return site
@@ -425,36 +526,15 @@ class TransportTree:
 
     def drain(self, step: float = 0.25, limit: float = 600.0) -> float:
         """Advance the clock until every edge's outbox is empty."""
-        edges: list[tuple[ReliableSender, CodecSender | None]] = [
-            (w.sender, w.codec_sender) for w in self._leaves.values()
-        ]
-        edges += [
-            (w.uplink, w.uplink_codec)
-            for w in self._internals.values()
-            if w.uplink is not None
-        ]
-        spent = 0.0
-        while any(
-            sender.outstanding() or (codec is not None and codec.queued)
-            for sender, codec in edges
-        ):
-            if spent >= limit:
-                raise RuntimeError(
-                    f"tree transport failed to drain within {limit} clock "
-                    "seconds"
-                )
-            self.clock.advance(step)
-            spent += step
-        return spent
+        return drain_endpoints(self.clock, self._edges, step, limit)
 
     def close(self) -> None:
         """Cancel timers and release transport bindings."""
         for wiring in self._leaves.values():
             wiring.site._emit = None
-            wiring.sender.close()
+        for endpoint in self._edges:
+            endpoint.close()
         for wiring in self._internals.values():
-            if wiring.uplink is not None:
-                wiring.uplink.close()
             wiring.transport.close()
 
     # ------------------------------------------------------------------
@@ -472,21 +552,15 @@ class TransportTree:
 
     def level_stats(self) -> tuple[LevelStats, ...]:
         """Per-level wire accounting, level 1 (root's children) down."""
-        per_level: dict[int, list[tuple[ReliableSender, CodecSender]]] = {}
-        for wiring in self._leaves.values():
-            per_level.setdefault(wiring.level, []).append(
-                (wiring.sender, wiring.codec_sender)
-            )
-        for wiring in self._internals.values():
-            if wiring.uplink is not None and wiring.uplink_codec is not None:
-                per_level.setdefault(wiring.level, []).append(
-                    (wiring.uplink, wiring.uplink_codec)
-                )
+        per_level: dict[int, list[SiteEndpoint]] = {}
+        for wiring in (*self._leaves.values(), *self._internals.values()):
+            if wiring.uplink is not None:
+                per_level.setdefault(wiring.level, []).append(wiring.uplink)
         records = max(1, self.records_fed)
         stats = []
         for level in sorted(per_level):
-            senders = [s for s, _ in per_level[level]]
-            codecs = [c for _, c in per_level[level]]
+            senders = [e.sender for e in per_level[level]]
+            codecs = [e.codec_sender for e in per_level[level]]
             wire = sum(s.stats.wire_bytes for s in senders)
             model_updates = sum(c.stats.model_updates for c in codecs)
             delta_updates = sum(c.stats.delta_updates for c in codecs)
@@ -533,29 +607,23 @@ class TransportTree:
             raise ValueError("tree was not built with federate=True")
         assert self.federation is not None
         sent = 0
-        entries: list[tuple[int, int, object]] = [
-            (w.level, 0, w) for w in self._leaves.values()
-        ]
-        entries += [(w.level, 1, w) for w in self._internals.values()]
-        for _level, kind, wiring in sorted(
-            entries, key=lambda e: (-e[0], e[1])
-        ):
-            if kind == 0:  # leaf
-                assert wiring.publisher is not None
-                wiring.sender.send_telemetry(wiring.publisher.collect())
-                sent += 1
-                continue
+        wirings = sorted(
+            (*self._leaves.values(), *self._internals.values()),
+            key=lambda w: (-w.level, isinstance(w, _InternalWiring)),
+        )
+        for wiring in wirings:
             assert wiring.publisher is not None
             if wiring.uplink is None:  # root
                 self.federation.ingest_report(
                     wiring.publisher.collect_report()
                 )
                 continue
-            if wiring.relay is not None:
+            sender = wiring.uplink.sender
+            if isinstance(wiring, _InternalWiring) and wiring.relay is not None:
                 for payload in wiring.relay.drain():
-                    wiring.uplink.send_telemetry(payload)
+                    sender.send_telemetry(payload)
                     sent += 1
-            wiring.uplink.send_telemetry(wiring.publisher.collect())
+            sender.send_telemetry(wiring.publisher.collect())
             sent += 1
         return sent
 
@@ -567,7 +635,9 @@ class TransportTree:
         wiring = self._require_internal(node_id)
         arq = {
             "uplink_next_seq": (
-                wiring.uplink.last_seq + 1 if wiring.uplink is not None else 1
+                wiring.uplink.sender.last_seq + 1
+                if wiring.uplink is not None
+                else 1
             ),
             "cursors": wiring.receiver.cursor_snapshot(),
         }
@@ -592,19 +662,22 @@ class TransportTree:
         if arq is not None:
             for child_id, expected in arq["cursors"].items():
                 wiring.receiver.restore_cursor(child_id, expected)
-        if wiring.uplink is not None:
-            wiring.uplink.close()
+        old = wiring.uplink
+        if old is not None:
+            old.close()
             assert node.parent_id is not None
+            codec = old.codec_sender.codec
             # The rebuilt codec sender starts without delta baselines, so
             # its first uploads go out as full snapshots -- exactly the
             # safe behaviour after losing in-memory codec state.
-            wiring.uplink, wiring.uplink_codec = self._make_uplink(
+            wiring.uplink = self._make_uplink(
                 node_id,
                 node.parent_id,
+                codec.name,
+                codec.config,
                 first_seq=arq["uplink_next_seq"] if arq is not None else 1,
-                wire_codec=wiring.uplink_wire_codec,
-                codec_config=wiring.uplink_codec_config,
             )
+            self._edges[self._edges.index(old)] = wiring.uplink
         return node
 
     # ------------------------------------------------------------------
@@ -640,7 +713,7 @@ class TransportTree:
             deliver_traced=self._make_deliver(wiring),
             send_ack=wiring.transport.send_to_site,
             clock=self.clock,
-            config=self._reliability,
+            config=_RELIABILITY,
             observer=self._obs,
             on_telemetry=on_telemetry,
         )
@@ -651,21 +724,15 @@ class TransportTree:
         self, wiring: _InternalWiring
     ) -> Callable[[int, bytes, object], None]:
         def deliver(child_id: int, payload: bytes, trace=None) -> None:
-            message = wiring.decoder.decode(payload)
-            obs = self._obs
-            with obs.remote_parent(trace):
-                with obs.span(
-                    "cluster.aggregate",
-                    node=wiring.node.node_id,
-                    child=child_id,
-                    level=wiring.level,
-                ):
-                    uploads = wiring.node.handle_child_message(message)
-                    if wiring.uplink_codec is not None:
-                        for upload in uploads:
-                            wiring.uplink_codec.send(
-                                upload, trace=obs.span_context()
-                            )
+            aggregate_child(
+                wiring.node,
+                wiring.decoder.decode(payload),
+                wiring.uplink.codec_sender if wiring.uplink is not None else None,
+                self._obs,
+                child_id=child_id,
+                level=wiring.level,
+                trace=trace,
+            )
 
         return deliver
 
@@ -673,30 +740,31 @@ class TransportTree:
         self,
         node_id: int,
         parent_id: int,
+        wire_codec: str | None,
+        codec_config: CodecConfig | None,
         first_seq: int = 1,
-        wire_codec: str | None = None,
-        codec_config: CodecConfig | None = None,
-    ) -> tuple[ReliableSender, CodecSender]:
+    ) -> SiteEndpoint:
         parent = self._require_internal(parent_id)
-        sender = ReliableSender(
-            site_id=node_id,
-            transmit=lambda data: parent.transport.send_to_coordinator(
-                node_id, data
-            ),
-            clock=self.clock,
-            config=self._reliability,
+        endpoint = SiteEndpoint(
+            node_id,
+            parent.transport,
+            self.clock,
+            _RELIABILITY,
             rng=np.random.default_rng(self._seed + 70_000 + node_id),
             observer=self._obs,
             first_seq=first_seq,
+            wire_codec=wire_codec or self._wire_codec,
+            codec_config=(
+                codec_config if codec_config is not None else self._codec_config
+            ),
         )
-        parent.transport.bind_site(node_id, sender.handle_datagram)
-        codec = get_codec(wire_codec or self._wire_codec, codec_config)
         # Negotiate the edge: the parent's receiver accepts this codec
         # id and its decoder is upgraded if the child speaks CDS2.
+        codec = endpoint.codec_sender.codec
         parent.receiver.accept_codec(codec.wire_id)
         if codec.wire_id != 0 and parent.decoder.wire_id == 0:
-            parent.decoder = get_codec(wire_codec or self._wire_codec)
-        return sender, CodecSender(sender, codec)
+            parent.decoder = get_codec(codec.name)
+        return endpoint
 
     def _check_new_id(self, node_id: int) -> None:
         if node_id in self._internals or node_id in self._leaves:

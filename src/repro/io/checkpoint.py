@@ -391,7 +391,7 @@ def load_coordinator(
 # Aggregator (tree internal node)
 # ----------------------------------------------------------------------
 def snapshot_aggregator(node, arq: Mapping | None = None) -> dict:
-    """Serialise a :class:`~repro.multilayer.tree.InternalNode`.
+    """Serialise a :class:`~repro.cluster.tree.InternalNode`.
 
     The snapshot covers the wrapped coordinator, the upload gate (last
     uploaded mixture, next model id, uplink counters) and, optionally,
@@ -435,7 +435,7 @@ def restore_aggregator(payload: Mapping, observer: Observer | None = None):
     :func:`snapshot_aggregator` (cursor keys back as ints), or ``None``
     when the snapshot carried no edge state.
     """
-    from repro.multilayer.tree import InternalNode
+    from repro.cluster.tree import InternalNode
 
     if payload.get("kind") != "aggregator":
         raise ValueError("payload is not an aggregator checkpoint")

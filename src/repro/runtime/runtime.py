@@ -17,10 +17,10 @@ checkpoint/resume lifecycle built on :mod:`repro.io.checkpoint`:
   uninterrupted run (the crash/resume suite asserts byte-identical
   snapshots on all three channel backends).
 
-``CluDistream.feed`` / ``run_simulation`` / ``run_over_transport`` are
-thin façades over this loop; new execution modes (sharding, async
-batching, alternative wire formats) plug in as new channels without
-touching the drivers.
+``CluDistream.feed`` / ``feed_streams`` are thin façades over this loop
+and ``CluDistream.runtime(channel)`` builds it for any channel; new
+execution modes (sharding, async batching, alternative wire formats)
+plug in as new channels without touching the drivers.
 """
 
 from __future__ import annotations

@@ -78,6 +78,10 @@ class SiteEndpoint(TransportEndpoint):
         Optional :class:`~repro.obs.observer.Observer`; serialisation is
         timed into the ``profile.serde_encode`` histogram and forwarded
         to the :class:`~repro.transport.reliability.ReliableSender`.
+    first_seq:
+        Sequence number of the first envelope; a restarted sender
+        continues where its checkpoint left off, so the receiver's
+        cursor never sees an old number again.
     """
 
     def __init__(
@@ -89,6 +93,7 @@ class SiteEndpoint(TransportEndpoint):
         rng: np.random.Generator | None = None,
         observer: Observer | None = None,
         *,
+        first_seq: int = 1,
         wire_codec: str = "cds1",
         codec_config: CodecConfig | None = None,
     ) -> None:
@@ -102,6 +107,7 @@ class SiteEndpoint(TransportEndpoint):
             config=config,
             rng=rng,
             observer=self._obs,
+            first_seq=first_seq,
         )
         self.codec_sender = CodecSender(
             self.sender, get_codec(wire_codec, codec_config)

@@ -1,11 +1,10 @@
-"""The multilayer tree suite, ported onto the real transport stack.
+"""The §7 tree: topology, upload gating and per-hop accounting.
 
-These tests mirror ``tests/multilayer/test_tree.py`` but every edge is a
-transport link with ARQ.  They run twice -- over synchronous loopback
-and over a seeded lossy link -- and the §7 properties (summaries reach
-the root, stability suppresses uploads, per-hop byte accounting) must
-hold identically: the reliability layer's whole job is to make faults
-invisible above it.
+Every edge is a transport link with ARQ.  Most tests run twice -- over
+synchronous loopback and over a seeded lossy link -- and the §7
+properties (summaries reach the root, stability suppresses uploads,
+per-hop byte accounting) must hold identically: the reliability layer's
+whole job is to make faults invisible above it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.tree import TransportTree
+from repro.cluster.tree import TransportTree, mixture_change
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
@@ -78,6 +77,26 @@ def faults(request) -> FaultConfig | None:
     return LOSSY if request.param == "lossy" else None
 
 
+class TestMixtureChange:
+    def test_none_baseline_always_changes(self, mixture_2d):
+        assert mixture_change(None, mixture_2d) == float("inf")
+
+    def test_identical_mixtures_score_zero(self, mixture_2d):
+        assert mixture_change(mixture_2d, mixture_2d) == pytest.approx(0.0)
+
+    def test_component_count_change_is_structural(self, mixture_2d):
+        single = GaussianMixture.single(mixture_2d.components[0])
+        assert mixture_change(mixture_2d, single) == float("inf")
+
+    def test_moved_component_scores_positive(self, mixture_2d):
+        moved = GaussianMixture(
+            mixture_2d.weights,
+            (Gaussian.spherical(np.array([1.0, 1.0]), 0.5),)
+            + mixture_2d.components[1:],
+        )
+        assert mixture_change(mixture_2d, moved) > 0.1
+
+
 class TestTopology:
     def test_single_root_enforced(self):
         tree = fast_tree()
@@ -97,6 +116,13 @@ class TestTopology:
         tree.add_leaf(1, parent_id=0)
         with pytest.raises(ValueError, match="not an internal node"):
             tree.add_leaf(2, parent_id=1)
+
+    def test_root_property(self):
+        tree = fast_tree()
+        with pytest.raises(ValueError, match="no root"):
+            _ = tree.root
+        root = tree.add_internal(0)
+        assert tree.root is root
 
     def test_unknown_leaf_rejected(self):
         tree = build_two_level()
@@ -163,7 +189,12 @@ class TestAccounting:
         tree = build_two_level(faults)
         feed_leaf(tree, 10, 0.0, 250, 1)
         leaf_bytes = sum(site.stats.bytes_sent for site in tree.sites)
-        assert tree.total_uplink_bytes() >= leaf_bytes > 0
+        # Exactly the bytes that crossed an edge: the root has no
+        # parent, so nothing it absorbs may count as an upload.
+        wire_payload = sum(level.payload_bytes for level in tree.level_stats())
+        assert tree.total_uplink_bytes() == wire_payload
+        assert wire_payload >= leaf_bytes > 0
+        assert tree.root.messages_up == tree.root.bytes_up == 0
         tree.close()
 
     def test_faults_cost_retransmissions_not_payloads(self):

@@ -1,20 +1,26 @@
-"""Tests for the tree-structured network extension."""
+"""The §7 multi-layer tree over in-process loopback edges.
+
+These cases exercise the tree exactly as a caller with no fault model
+sees it: a ``TransportTree`` with ``faults=None``, whose edges deliver
+synchronously.  ``tests/cluster/test_transport_tree.py`` runs the same
+properties over both loopback and seeded lossy links.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.cluster.tree import TransportTree
 from repro.core.coordinator import CoordinatorConfig
 from repro.core.em import EMConfig
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.core.remote import RemoteSiteConfig
-from repro.multilayer.tree import TreeNetwork, mixture_change
 
 
-def fast_tree() -> TreeNetwork:
-    return TreeNetwork(
+def fast_tree() -> TransportTree:
+    return TransportTree(
         site_config=RemoteSiteConfig(
             dim=2,
             epsilon=0.3,
@@ -39,26 +45,10 @@ def mixture_at(center: float) -> GaussianMixture:
     )
 
 
-class TestMixtureChange:
-    def test_none_baseline_always_changes(self, mixture_2d):
-        assert mixture_change(None, mixture_2d) == float("inf")
-
-    def test_identical_mixtures_score_zero(self, mixture_2d):
-        assert mixture_change(mixture_2d, mixture_2d) == pytest.approx(0.0)
-
-    def test_component_count_change_is_structural(self, mixture_2d, mixture_1d):
-        single = GaussianMixture.single(mixture_2d.components[0])
-        assert mixture_change(mixture_2d, single) == float("inf")
-
-    def test_moved_component_scores_positive(self, mixture_2d):
-        moved = GaussianMixture(
-            mixture_2d.weights,
-            (
-                Gaussian.spherical(np.array([1.0, 1.0]), 0.5),
-            )
-            + mixture_2d.components[1:],
-        )
-        assert mixture_change(mixture_2d, moved) > 0.1
+def feed_points(tree: TransportTree, leaf_id: int, points: np.ndarray) -> None:
+    for row in points:
+        tree.feed(leaf_id, row)
+    tree.drain()
 
 
 class TestTopology:
@@ -81,16 +71,9 @@ class TestTopology:
         with pytest.raises(ValueError, match="not an internal node"):
             tree.add_leaf(2, parent_id=1)
 
-    def test_root_property(self):
-        tree = fast_tree()
-        with pytest.raises(ValueError, match="no root"):
-            _ = tree.root
-        root = tree.add_internal(0)
-        assert tree.root is root
-
 
 class TestStreamProcessing:
-    def build_two_level(self) -> TreeNetwork:
+    def build_two_level(self) -> TransportTree:
         """root(0) <- internal(1), internal(2); two leaves under each."""
         tree = fast_tree()
         tree.add_internal(0)
@@ -102,11 +85,10 @@ class TestStreamProcessing:
         tree.add_leaf(21, parent_id=2)
         return tree
 
-    def feed_leaf(self, tree: TreeNetwork, leaf_id: int, center: float,
+    def feed_leaf(self, tree: TransportTree, leaf_id: int, center: float,
                   n: int, seed: int) -> None:
         points, _ = mixture_at(center).sample(n, np.random.default_rng(seed))
-        for row in points:
-            tree.feed(leaf_id, row)
+        feed_points(tree, leaf_id, points)
 
     def test_summaries_propagate_to_the_root(self):
         tree = self.build_two_level()
@@ -120,7 +102,7 @@ class TestStreamProcessing:
     def test_internal_nodes_upload_only_on_change(self):
         tree = self.build_two_level()
         self.feed_leaf(tree, 10, 0.0, 250, 1)
-        internal = tree.internals[1]  # node 1
+        internal = tree.internal(1)
         uploads_after_first = internal.messages_up
         assert uploads_after_first >= 1
         # A stable continuation generates no new leaf messages, hence no
@@ -132,9 +114,7 @@ class TestStreamProcessing:
         tree = self.build_two_level()
         self.feed_leaf(tree, 10, 0.0, 250, 1)
         assert tree.total_uplink_bytes() > 0
-        leaf_bytes = sum(
-            leaf.site.stats.bytes_sent for leaf in tree.leaves
-        )
+        leaf_bytes = sum(site.stats.bytes_sent for site in tree.sites)
         assert tree.total_uplink_bytes() >= leaf_bytes
 
     def test_unknown_leaf_rejected(self):
@@ -153,12 +133,10 @@ class TestUploadThreshold:
         tree.add_leaf(10, parent_id=1)
         tree.add_leaf(11, parent_id=1)
         points_a, _ = mixture_at(0.0).sample(250, np.random.default_rng(1))
-        for row in points_a:
-            tree.feed(10, row)
+        feed_points(tree, 10, points_a)
         first_uploads = gateway.messages_up
         points_b, _ = mixture_at(60.0).sample(250, np.random.default_rng(2))
-        for row in points_b:
-            tree.feed(11, row)
+        feed_points(tree, 11, points_b)
         # The structural change (component count) always uploads; after
         # that, the huge threshold suppresses parameter-level changes.
         assert gateway.messages_up <= first_uploads + 1
@@ -169,6 +147,5 @@ class TestUploadThreshold:
         gateway = tree.add_internal(1, parent_id=0, upload_threshold=0.0)
         tree.add_leaf(10, parent_id=1)
         points, _ = mixture_at(0.0).sample(250, np.random.default_rng(3))
-        for row in points:
-            tree.feed(10, row)
+        feed_points(tree, 10, points)
         assert gateway.messages_up >= 1
