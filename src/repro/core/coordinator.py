@@ -647,6 +647,9 @@ class Coordinator:
                     merged=merged.cluster_id,
                     m_merge=float(m_merge(cluster_a.father, cluster_b.father)),
                     accuracy_loss=float(fit.loss),
+                    moment_loss=float(fit.moment_loss),
+                    iterations=fit.iterations,
+                    converged=fit.converged,
                     leaves=len(merged.leaves),
                 )
 

@@ -34,6 +34,7 @@ homes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ import numpy as np
 from repro.core.gaussian import Gaussian
 from repro.core.mixture import GaussianMixture
 from repro.numerics.integrate import monte_carlo_l1
+from repro.numerics.linalg import LOG_2PI, SPDFactors, spd_factorize
 from repro.numerics.simplex import nelder_mead
 from repro.obs.observer import Observer, ensure_observer
 
@@ -213,19 +215,117 @@ def _pack_parameters(gaussian: Gaussian) -> np.ndarray:
     d = gaussian.dim
     chol = np.linalg.cholesky(gaussian.covariance)
     log_diag = np.log(np.diag(chol))
-    lower = chol[np.tril_indices(d, k=-1)]
+    lower = chol[_lower_indices(d)]
     return np.concatenate([gaussian.mean, log_diag, lower])
+
+
+@lru_cache(maxsize=None)
+def _lower_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(dim, k=-1)``, built once per dimension.
+
+    Building them costs more than the rest of decoding a candidate; the
+    cached arrays are read-only because every caller shares them.
+    """
+    rows, cols = np.tril_indices(dim, k=-1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _cholesky_from_theta(theta: np.ndarray, dim: int) -> np.ndarray:
+    """The lower-triangular ``L`` that a parameter vector encodes."""
+    chol = np.zeros((dim, dim))
+    chol[np.diag_indices(dim)] = np.exp(np.clip(theta[dim : 2 * dim], -30.0, 30.0))
+    chol[_lower_indices(dim)] = theta[2 * dim :]
+    return chol
 
 
 def _unpack_parameters(theta: np.ndarray, dim: int) -> Gaussian:
     """Inverse of :func:`_pack_parameters`."""
-    mean = theta[:dim]
-    log_diag = theta[dim : 2 * dim]
-    lower = theta[2 * dim :]
-    chol = np.zeros((dim, dim))
-    chol[np.diag_indices(dim)] = np.exp(np.clip(log_diag, -30.0, 30.0))
-    chol[np.tril_indices(dim, k=-1)] = lower
-    return Gaussian(mean, chol @ chol.T)
+    chol = _cholesky_from_theta(theta, dim)
+    return Gaussian(theta[:dim], chol @ chol.T)
+
+
+class _MergeLoss:
+    """The L1 accuracy loss on one fixed common-random-number sample set.
+
+    Calling the instance scores a simplex candidate ``θ`` without
+    building a :class:`Gaussian`: ``L Lᵀ`` goes through the same
+    :func:`~repro.numerics.linalg.spd_factorize` the ``Gaussian``
+    constructor uses, and the samples are whitened by the LAPACK
+    triangular solve that ``Gaussian.pdf`` reaches through
+    ``scipy.linalg.solve_triangular`` -- called directly, without the
+    wrapper's input validation (the factor and samples are finite by
+    construction).  The loss is then formed with the same float
+    operations as ``Gaussian.pdf``, so its value is bit-identical to
+    scoring ``_unpack_parameters(θ)``.
+    """
+
+    def __init__(
+        self,
+        weight_i: float,
+        comp_i: Gaussian,
+        weight_j: float,
+        comp_j: Gaussian,
+        n_samples: int,
+        rng: np.random.Generator,
+    ) -> None:
+        # scipy.linalg is imported lazily: loading it with the package
+        # doubles ``import repro``'s start-up time.
+        from scipy.linalg.lapack import dtrtrs
+
+        self._dtrtrs = dtrtrs
+        self.dim = comp_i.dim
+        self.total = weight_i + weight_j
+        proposal = GaussianMixture(
+            np.array([weight_i / self.total, weight_j / self.total]),
+            (comp_i, comp_j),
+        )
+        samples, _ = proposal.sample(n_samples, rng)
+        self.proposal_values = proposal.pdf(samples)
+        self.pair_values = _two_component_density(
+            weight_i, comp_i, weight_j, comp_j
+        )(samples)
+        # Column-major storage only speeds up the per-candidate
+        # ``samples - mean`` (each column shifts by one scalar); the
+        # values, and so every bit downstream, are the same.
+        self.samples = np.asfortranarray(samples)
+
+    def loss_of(self, candidate: Gaussian) -> float:
+        """Loss of a constructed candidate component."""
+        return self._score(candidate.mean, candidate.factors)
+
+    def __call__(self, theta: np.ndarray) -> float:
+        """Loss of the candidate encoded by ``θ``; ``inf`` if invalid."""
+        mean = theta[: self.dim]
+        if not np.isfinite(mean).all():
+            return np.inf
+        chol = _cholesky_from_theta(theta, self.dim)
+        try:
+            factors = spd_factorize(chol @ chol.T)
+        except (ValueError, np.linalg.LinAlgError):
+            return np.inf
+        return self._score(mean, factors)
+
+    def _score(self, mean: np.ndarray, factors: SPDFactors) -> float:
+        # The LAPACK call ``solve_triangular(L, b, lower=True)`` makes:
+        # ``L`` itself when it is Fortran-ordered (d = 1), otherwise the
+        # transposed system on the Fortran-ordered ``Lᵀ``.  Making the
+        # same call keeps every bit of the density.
+        chol = factors.cholesky
+        centered = (self.samples - mean).T
+        if chol.flags.f_contiguous:
+            whitened, _ = self._dtrtrs(chol, centered, lower=1, overwrite_b=1)
+        else:
+            whitened, _ = self._dtrtrs(
+                chol.T, centered, lower=0, trans=1, overwrite_b=1
+            )
+        dist_sq = np.sum(whitened * whitened, axis=0)
+        density = np.exp(-0.5 * (self.dim * LOG_2PI + factors.log_det + dist_sq))
+        merged_values = self.total * density
+        return float(
+            np.mean(np.abs(self.pair_values - merged_values) / self.proposal_values)
+        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +345,9 @@ class MergeFit:
         baseline); ``loss <= moment_loss`` up to Monte-Carlo noise.
     iterations:
         Simplex iterations spent.
+    converged:
+        Whether the simplex met its spread tolerances before its
+        iteration budget ran out (always ``True`` for the moment fit).
     """
 
     component: Gaussian
@@ -252,6 +355,7 @@ class MergeFit:
     loss: float
     moment_loss: float
     iterations: int
+    converged: bool
 
 
 def fit_merged_component(
@@ -299,22 +403,9 @@ def fit_merged_component(
     rng = rng if rng is not None else np.random.default_rng(0)
     total = weight_i + weight_j
     moment = comp_i.merge_moments(comp_j, weight_i, weight_j)
-
-    # Common random numbers: fix the proposal sample once.
-    proposal = GaussianMixture(
-        np.array([weight_i / total, weight_j / total]), (comp_i, comp_j)
-    )
-    samples, _ = proposal.sample(n_samples, rng)
-    proposal_values = proposal.pdf(samples)
-    pair_values = _two_component_density(weight_i, comp_i, weight_j, comp_j)(
-        samples
-    )
-
-    def loss_of(candidate: Gaussian) -> float:
-        merged_values = total * candidate.pdf(samples)
-        return float(np.mean(np.abs(pair_values - merged_values) / proposal_values))
-
-    moment_loss = loss_of(moment)
+    # Common random numbers: the proposal sample is fixed once.
+    objective = _MergeLoss(weight_i, comp_i, weight_j, comp_j, n_samples, rng)
+    moment_loss = objective.loss_of(moment)
     if method == "moment":
         return MergeFit(
             component=moment,
@@ -322,16 +413,8 @@ def fit_merged_component(
             loss=moment_loss,
             moment_loss=moment_loss,
             iterations=0,
+            converged=True,
         )
-
-    dim = comp_i.dim
-
-    def objective(theta: np.ndarray) -> float:
-        try:
-            candidate = _unpack_parameters(theta, dim)
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        return loss_of(candidate)
 
     with obs.timer("profile.simplex"):
         result = nelder_mead(
@@ -343,8 +426,8 @@ def fit_merged_component(
         )
     if obs.enabled:
         obs.inc("merge.simplex_iterations", result.iterations)
-    fitted = _unpack_parameters(result.x, dim)
-    fitted_loss = loss_of(fitted)
+    fitted = _unpack_parameters(result.x, objective.dim)
+    fitted_loss = objective.loss_of(fitted)
     if fitted_loss > moment_loss:
         # The search never accepts a candidate worse than its seed.
         fitted, fitted_loss = moment, moment_loss
@@ -354,4 +437,5 @@ def fit_merged_component(
         loss=fitted_loss,
         moment_loss=moment_loss,
         iterations=result.iterations,
+        converged=result.converged,
     )

@@ -395,16 +395,7 @@ class RemoteSite:
         at most one chunk boundary can fall on a single record).
         """
         record = np.asarray(record, dtype=float).ravel()
-        if record.size != self.config.dim:
-            raise ValueError(
-                f"record has dimension {record.size}, site expects "
-                f"{self.config.dim}"
-            )
-        if np.isnan(record).any() and not self.config.handle_missing:
-            raise ValueError(
-                "record has missing attributes; enable "
-                "RemoteSiteConfig(handle_missing=True) to accept them"
-            )
+        self._validate_records(record)
         self._buffer.append(record)
         self.stats.records_seen += 1
         if len(self._buffer) < self.chunk:
@@ -413,6 +404,34 @@ class RemoteSite:
         self._buffer = []
         self._position += chunk.shape[0]
         return self._handle_chunk(chunk)
+
+    def _validate_records(self, records: np.ndarray) -> None:
+        """Reject input the site cannot ingest, before any state changes.
+
+        ``records`` is one record (1-d) or a chunk (2-d, one record per
+        row).  A wrong dimension and any ``±inf`` attribute always
+        raise ``ValueError``: an infinite value would force a refit and
+        ship a distorted model.  ``NaN`` marks a missing attribute and
+        passes only with ``RemoteSiteConfig(handle_missing=True)``.  The
+        common, all-finite case costs one ``isfinite`` pass.
+        """
+        if records.ndim > 2 or records.shape[-1] != self.config.dim:
+            raise ValueError(
+                f"record shape {records.shape} does not match the site's "
+                f"dimension {self.config.dim}"
+            )
+        if np.isfinite(records).all():
+            return
+        if np.isinf(records).any():
+            raise ValueError(
+                "record has infinite attributes; sites accept finite "
+                "values (NaN marks a missing attribute)"
+            )
+        if not self.config.handle_missing:
+            raise ValueError(
+                "record has missing attributes; enable "
+                "RemoteSiteConfig(handle_missing=True) to accept them"
+            )
 
     def process_stream(self, records: Iterable[np.ndarray]) -> list[Message]:
         """Ingest many records; returns all messages emitted."""
@@ -434,6 +453,7 @@ class RemoteSite:
                 "process_chunk cannot be mixed with a partially filled "
                 "record buffer"
             )
+        self._validate_records(chunk)
         self.stats.records_seen += chunk.shape[0]
         self._position += chunk.shape[0]
         return self._handle_chunk(chunk)

@@ -43,6 +43,9 @@ DEFAULT_RIDGE = 1e-6
 #: producing infinite densities.
 VARIANCE_FLOOR = 1e-10
 
+#: Ridge escalations :func:`regularize_covariance` tries before giving up.
+MAX_RIDGE_ATTEMPTS = 12
+
 
 def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     """Return a symmetric copy of ``matrix`` with floored diagonal.
@@ -61,18 +64,17 @@ def ensure_spd(matrix: np.ndarray) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"covariance must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("covariance contains non-finite entries")
     sym = (arr + arr.T) / 2.0
-    diag = np.diag(sym).copy()
-    np.fill_diagonal(sym, np.maximum(diag, VARIANCE_FLOOR))
+    np.fill_diagonal(sym, np.maximum(sym.diagonal(), VARIANCE_FLOOR))
     return sym
 
 
 def regularize_covariance(
     matrix: np.ndarray,
     ridge: float = DEFAULT_RIDGE,
-    max_attempts: int = 12,
+    max_attempts: int = MAX_RIDGE_ATTEMPTS,
 ) -> np.ndarray:
     """Make ``matrix`` positive definite by adding an escalating ridge.
 
@@ -82,11 +84,25 @@ def regularize_covariance(
     only possible for pathological (non-finite) input, which
     :func:`ensure_spd` rejects first.
     """
+    return _regularized_cholesky(matrix, ridge, max_attempts)[0]
+
+
+def _regularized_cholesky(
+    matrix: np.ndarray,
+    ridge: float = DEFAULT_RIDGE,
+    max_attempts: int = MAX_RIDGE_ATTEMPTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`regularize_covariance` plus the factor that accepted it.
+
+    The acceptance test already factorises the returned matrix, so
+    :func:`spd_factorize` keeps that factor instead of computing the
+    same Cholesky decomposition a second time.
+    """
     sym = ensure_spd(matrix)
     # Scale by the full matrix magnitude, not just the diagonal: a
     # floored diagonal with dominant off-diagonal entries needs a ridge
     # comparable to those entries to become positive definite.
-    scale = max(float(np.mean(np.diag(sym))), float(np.max(np.abs(sym))))
+    scale = max(float(sym.diagonal().mean()), float(np.abs(sym).max()))
     if scale <= 0.0:
         scale = 1.0
     bump = ridge * scale
@@ -98,8 +114,8 @@ def regularize_covariance(
     for _ in range(max_attempts):
         try:
             factor = np.linalg.cholesky(candidate)
-            if float(np.min(np.diag(factor))) > pivot_floor:
-                return candidate
+            if factor.diagonal().min() > pivot_floor:
+                return candidate, factor
         except np.linalg.LinAlgError:
             pass
         candidate = sym + bump * np.eye(sym.shape[0])
@@ -195,10 +211,13 @@ class SPDFactors:
 
 
 def spd_factorize(matrix: np.ndarray, ridge: float = DEFAULT_RIDGE) -> SPDFactors:
-    """Regularise ``matrix`` and return its cached Cholesky factors."""
-    cov = regularize_covariance(matrix, ridge=ridge)
-    chol = np.linalg.cholesky(cov)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    """Regularise ``matrix`` and return its cached Cholesky factors.
+
+    The factor is the one :func:`regularize_covariance`'s acceptance
+    test computed, so a covariance is factorised exactly once.
+    """
+    cov, chol = _regularized_cholesky(matrix, ridge)
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     return SPDFactors(covariance=cov, cholesky=chol, log_det=log_det)
 
 

@@ -111,6 +111,7 @@ def nelder_mead(
         value = float(objective(x))
         return value if np.isfinite(value) else np.inf
 
+    n = x0.size
     simplex = _initial_simplex(x0, initial_step)
     values = np.array([safe_eval(vertex) for vertex in simplex])
     evaluations = values.size
@@ -122,13 +123,17 @@ def nelder_mead(
         simplex = simplex[order]
         values = values[order]
 
-        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        f_spread = float(np.abs(values[-1] - values[0]))
-        if x_spread <= xtol and f_spread <= ftol:
+        # The cheap value spread is tested first: the parameter spread
+        # only matters once the values have collapsed.
+        if abs(float(values[-1] - values[0])) <= ftol and (
+            float(np.max(np.abs(simplex[1:] - simplex[0]))) <= xtol
+        ):
             converged = True
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        # ``np.mean``'s own arithmetic (sum, then one division) without
+        # its Python-level wrapper.
+        centroid = simplex[:-1].sum(axis=0) / n
         worst = simplex[-1]
 
         reflected = centroid + ALPHA * (centroid - worst)

@@ -76,6 +76,11 @@ class RunSummary:
     merges: int = 0
     splits: int = 0
     evictions: int = 0
+    # Merge fits (coord.merge provenance): simplex fits, their summed
+    # iterations, and how many stopped at the iteration budget.
+    simplex_fits: int = 0
+    simplex_iterations: int = 0
+    simplex_hit_max_iter: int = 0
     # Transport
     sends: int = 0
     retransmissions: int = 0
@@ -111,6 +116,20 @@ class RunSummary:
         return self.span_durations[name]
 
     @property
+    def simplex_iterations_mean(self) -> float:
+        """Mean simplex iterations per merge fit (0 with no simplex fit)."""
+        if not self.simplex_fits:
+            return 0.0
+        return self.simplex_iterations / self.simplex_fits
+
+    @property
+    def simplex_hit_max_iter_ratio(self) -> float:
+        """Share of simplex merge fits that ran out of iterations."""
+        if not self.simplex_fits:
+            return 0.0
+        return self.simplex_hit_max_iter / self.simplex_fits
+
+    @property
     def total_archives(self) -> int:
         return sum(s.archives for s in self.sites.values())
 
@@ -121,6 +140,8 @@ class RunSummary:
     def as_dict(self) -> dict:
         """JSON-safe rendering, backing ``repro stats --format json``."""
         out = asdict(self)
+        out["simplex_iterations_mean"] = self.simplex_iterations_mean
+        out["simplex_hit_max_iter_ratio"] = self.simplex_hit_max_iter_ratio
         out["sites"] = {
             str(site_id): asdict(site) for site_id, site in self.sites.items()
         }
@@ -169,6 +190,13 @@ def summarize_events(events: Iterable[TraceEvent]) -> RunSummary:
             summary.deletions += 1
         elif type_ == "coord.merge":
             summary.merges += 1
+            # Moment-matched merges run no search (0 iterations).
+            iterations = int(fields.get("iterations", 0))
+            if iterations:
+                summary.simplex_fits += 1
+                summary.simplex_iterations += iterations
+                if not fields.get("converged", True):
+                    summary.simplex_hit_max_iter += 1
         elif type_ == "coord.split":
             summary.splits += 1
         elif type_ == "transport.evict":
@@ -324,6 +352,13 @@ def format_summary(summary: RunSummary) -> str:
         f"merges={summary.merges} splits={summary.splits} "
         f"evictions={summary.evictions}"
     )
+    if summary.simplex_fits:
+        lines.append(
+            "merge fits: "
+            f"simplex={summary.simplex_fits} "
+            f"mean_iter={summary.simplex_iterations_mean:.1f} "
+            f"hit_max_iter={summary.simplex_hit_max_iter_ratio:.0%}"
+        )
     lines.append(
         "transport: "
         f"sends={summary.sends} "

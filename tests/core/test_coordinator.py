@@ -13,6 +13,9 @@ from repro.core.protocol import (
     ModelUpdateMessage,
     WeightUpdateMessage,
 )
+from repro.obs.observer import Observer
+from repro.obs.stats import summarize_events
+from repro.obs.trace import RingBufferSink
 
 
 def site_mixture(center: np.ndarray) -> GaussianMixture:
@@ -207,6 +210,40 @@ class TestMergeCap:
                 model_update(site_id, 0, site_mixture(center))
             )
         assert coordinator.n_components <= 2
+
+    @pytest.mark.parametrize("method", ["simplex", "moment"])
+    def test_merge_events_carry_fit_provenance(self, method):
+        sink = RingBufferSink()
+        coordinator = Coordinator(
+            CoordinatorConfig(
+                max_components=2, merge_method=method, merge_samples=256
+            ),
+            rng=np.random.default_rng(1),
+            observer=Observer(sink=sink),
+        )
+        for site_id in range(4):
+            center = np.array([float(site_id * 15), 0.0])
+            coordinator.handle_message(
+                model_update(site_id, 0, site_mixture(center))
+            )
+        merges = sink.of_type("coord.merge")
+        assert len(merges) == coordinator.stats.merges > 0
+        for event in merges:
+            fields = event.fields
+            assert fields["accuracy_loss"] <= fields["moment_loss"]
+            if method == "moment":
+                assert fields["iterations"] == 0
+                assert fields["converged"] is True
+            else:
+                assert 1 <= fields["iterations"] <= 120
+                assert fields["converged"] == (fields["iterations"] < 120)
+        summary = summarize_events(sink.events)
+        expected_fits = len(merges) if method == "simplex" else 0
+        assert summary.simplex_fits == expected_fits
+        if expected_fits:
+            assert summary.simplex_iterations == sum(
+                e.fields["iterations"] for e in merges
+            )
 
 
 class TestAlgorithm2:

@@ -84,6 +84,29 @@ class TestFirstChunk:
         with pytest.raises(ValueError, match="dimension"):
             site.process_record(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_record_rejected_without_side_effects(
+        self, site: RemoteSite, bad
+    ):
+        site.process_record(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="infinite"):
+            site.process_record(np.array([1.0, bad]))
+        assert site.stats.records_seen == 1
+        assert len(site._buffer) == 1
+
+    def test_infinite_record_rejected_even_with_handle_missing(self):
+        config = RemoteSiteConfig(
+            dim=2,
+            em=EMConfig(n_components=2, n_init=1, max_iter=10),
+            chunk_override=20,
+            handle_missing=True,
+        )
+        site = RemoteSite(0, config, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="infinite"):
+            site.process_record(np.array([np.nan, np.inf]))
+        site.process_record(np.array([np.nan, 1.0]))
+        assert site.stats.records_seen == 1
+
 
 class TestStableStream:
     def test_fitting_chunks_only_bump_the_counter(self, site: RemoteSite):
@@ -182,6 +205,30 @@ class TestChunkEntryPoint:
         site.process_record(np.zeros(2))
         with pytest.raises(RuntimeError, match="partially filled"):
             site.process_chunk(np.zeros((10, 2)))
+
+    def test_process_chunk_rejects_wrong_dimension(self, site: RemoteSite):
+        with pytest.raises(ValueError, match="dimension"):
+            site.process_chunk(np.zeros((site.chunk, 3)))
+        assert site.stats.records_seen == 0
+        assert site.position == 0
+
+    def test_process_chunk_rejects_infinite_records(self, site: RemoteSite):
+        chunk = stream_of(make_mixture(0.0), site.chunk, 2)
+        chunk[7, 1] = np.inf
+        with pytest.raises(ValueError, match="infinite"):
+            site.process_chunk(chunk)
+        assert site.stats.records_seen == 0
+        assert site.position == 0
+        assert site.current_model is None
+
+    def test_process_chunk_rejects_nan_without_handle_missing(
+        self, site: RemoteSite
+    ):
+        chunk = stream_of(make_mixture(0.0), site.chunk, 2)
+        chunk[0, 0] = np.nan
+        with pytest.raises(ValueError, match="missing attributes"):
+            site.process_chunk(chunk)
+        assert site.stats.records_seen == 0
 
 
 class TestExpire:

@@ -74,6 +74,53 @@ class TestFactorization:
         assert np.allclose(factors.solve(rhs), np.linalg.inv(cov) @ rhs)
 
 
+class TestSingleFactorization:
+    """``spd_factorize`` keeps the factor its regularisation accepted."""
+
+    @staticmethod
+    def matrices() -> list[np.ndarray]:
+        gen = np.random.default_rng(7)
+        raw = gen.normal(size=(4, 4))
+        out = [
+            np.array([[2.0, 0.3], [0.3, 1.0]]),
+            np.ones((3, 3)),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.diag([1.0, 0.0, 4.0]),
+        ]
+        # A spectrum shifted ever further below zero needs ever larger
+        # ridges, so ever more attempts.
+        for shift in (0.0, 1e-3, 0.1, 1.0, 5.0, 50.0):
+            out.append(raw @ raw.T - shift * np.eye(4))
+        return out
+
+    def test_factor_is_bitwise_the_cholesky_of_the_regularised_matrix(
+        self, monkeypatch
+    ):
+        real = np.linalg.cholesky
+        calls = []
+
+        def counting(matrix):
+            calls.append(1)
+            return real(matrix)
+
+        attempts = set()
+        for matrix in self.matrices():
+            expected = real(regularize_covariance(matrix))
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "cholesky", counting)
+            factors = spd_factorize(matrix)
+            monkeypatch.setattr(np.linalg, "cholesky", real)
+            attempts.add(len(calls))
+            assert factors.cholesky.tobytes() == expected.tobytes()
+            assert factors.covariance.tobytes() == (
+                regularize_covariance(matrix).tobytes()
+            )
+        # Cover the plain case, one ridge and long escalations; each
+        # attempt is one factorisation, with none repeated afterwards.
+        assert 1 in attempts and 2 in attempts
+        assert max(attempts) >= 4
+
+
 class TestMahalanobis:
     def test_identity_covariance_is_euclidean(self):
         points = np.array([[3.0, 4.0]])

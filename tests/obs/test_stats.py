@@ -89,6 +89,50 @@ class TestSummarizeEvents:
         assert summary.total_chunk_tests == 0
 
 
+class TestMergeFitProvenance:
+    def merge_events(self) -> list[TraceEvent]:
+        fits = [
+            {"iterations": 120, "converged": False},
+            {"iterations": 80, "converged": True},
+            {"iterations": 120, "converged": False},
+            {"iterations": 0, "converged": True},  # a moment merge
+        ]
+        return [
+            TraceEvent(
+                seq=i,
+                time=float(i),
+                type="coord.merge",
+                fields={"accuracy_loss": 0.1, "moment_loss": 0.2, **fit},
+            )
+            for i, fit in enumerate(fits, start=1)
+        ]
+
+    def test_folds_simplex_iterations_and_cap_hits(self):
+        summary = summarize_events(self.merge_events())
+        assert summary.merges == 4
+        assert summary.simplex_fits == 3
+        assert summary.simplex_iterations == 320
+        assert summary.simplex_hit_max_iter == 2
+        assert summary.simplex_iterations_mean == 320 / 3
+        assert summary.simplex_hit_max_iter_ratio == 2 / 3
+
+    def test_rendered_in_text_and_json(self):
+        summary = summarize_events(self.merge_events())
+        assert "merge fits: simplex=3 mean_iter=106.7 hit_max_iter=67%" in (
+            format_summary(summary)
+        )
+        payload = summary.as_dict()
+        assert payload["simplex_fits"] == 3
+        assert payload["simplex_hit_max_iter_ratio"] == 2 / 3
+
+    def test_merges_without_provenance_fold_to_nothing(self):
+        summary = summarize_events(make_events())
+        assert summary.merges == 1
+        assert summary.simplex_fits == 0
+        assert summary.simplex_iterations_mean == 0.0
+        assert "merge fits:" not in format_summary(summary)
+
+
 class TestSummarizeTrace:
     def test_reads_a_jsonl_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"

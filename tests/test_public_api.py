@@ -9,7 +9,10 @@ shims runs without deprecation warnings.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -101,6 +104,23 @@ class TestKeywordOnlyConfigs:
     def test_keyword_construction_still_works(self):
         config = repro.EMConfig(n_components=3)
         assert config.n_components == 3
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # Loading scipy.linalg roughly doubles ``import repro``; the
+        # modules that need it import it inside the calls that use it.
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, repro; print('scipy.linalg' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 def _tiny_system():
