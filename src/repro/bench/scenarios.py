@@ -5,7 +5,8 @@ how to build a deterministic workload for it.  Scenarios come in two
 kinds:
 
 * standalone throughput probes (``fit_em``, ``merge_fit``,
-  ``serde_roundtrip``, the three end-to-end ``runtime_*`` runs);
+  ``coordinator_cap``, ``serde_roundtrip``, the three end-to-end
+  ``runtime_*`` runs);
 * optimisation *pairs*, where the optimised scenario declares its
   ``baseline`` -- the pre-optimisation implementation kept alive here
   purely as a measuring stick.  The runner reports
@@ -387,6 +388,72 @@ def _build_merge_fit(seed: int) -> Callable[[], float]:
 
 
 # ----------------------------------------------------------------------
+# Coordinator cap loop (moment merges)
+# ----------------------------------------------------------------------
+_CAP_SITES = 8
+_CAP_ROUNDS = 12
+
+
+def _cap_messages(seed: int) -> list:
+    """96 model updates from 8 drifting sites (d=4, K=3).
+
+    Each round every site re-announces its one model with every
+    component mean moved by N(0, 0.6²), so Algorithm 2 splits and the
+    cap loop re-merges on most updates.
+    """
+    from repro.core.gaussian import Gaussian
+    from repro.core.mixture import GaussianMixture
+    from repro.core.protocol import ModelUpdateMessage
+    from repro.streams.synthetic import random_mixture
+
+    rng = np.random.default_rng(seed)
+    bases = [
+        random_mixture(dim=4, n_components=3, rng=rng) for _ in range(_CAP_SITES)
+    ]
+    means = [np.stack([c.mean for c in base.components]) for base in bases]
+    messages = []
+    for round_ in range(_CAP_ROUNDS):
+        for site, base in enumerate(bases):
+            means[site] = means[site] + rng.normal(scale=0.6, size=means[site].shape)
+            mixture = GaussianMixture(
+                base.weights,
+                tuple(
+                    Gaussian(mean, component.covariance)
+                    for mean, component in zip(means[site], base.components)
+                ),
+            )
+            messages.append(
+                ModelUpdateMessage(
+                    site_id=site,
+                    model_id=0,
+                    time=round_,
+                    mixture=mixture,
+                    count=int(rng.integers(300, 700)),
+                    reference_likelihood=-1.0,
+                )
+            )
+    return messages
+
+
+def _build_coordinator_cap(seed: int) -> Callable[[], float]:
+    from repro.core.coordinator import Coordinator, CoordinatorConfig
+
+    messages = _cap_messages(seed)
+    config = CoordinatorConfig(max_components=16, merge_method="moment")
+
+    def run() -> float:
+        coordinator = Coordinator(config, rng=np.random.default_rng(seed + 1))
+        for message in messages:
+            coordinator.handle_message(message)
+        stats = coordinator.stats
+        return float(stats.merges + stats.splits) + checksum(
+            [cluster.father.mean for cluster in coordinator.clusters]
+        )
+
+    return run
+
+
+# ----------------------------------------------------------------------
 # Wire-format serde
 # ----------------------------------------------------------------------
 def _build_serde_roundtrip(seed: int) -> Callable[[], float]:
@@ -573,6 +640,12 @@ SCENARIOS: dict[str, Scenario] = {
             name="merge_fit",
             summary="Nelder-Mead merge fit of two overlapping components",
             build=_build_merge_fit,
+        ),
+        Scenario(
+            name="coordinator_cap",
+            summary="moment-merge coordinator at cap 16 absorbing 96 "
+            "drifting site updates (split, re-merge, cap loop)",
+            build=_build_coordinator_cap,
         ),
         Scenario(
             name="serde_roundtrip",

@@ -162,9 +162,19 @@ class GlobalCluster:
 
         Pairwise simplex fits happen at merge time; between merges the
         father tracks its leaves by exact moment matching, which is the
-        best available zero-communication refresh.
+        best available zero-communication refresh.  A pool bitwise equal
+        to the current father keeps the current object, so the
+        coordinator's cached ``M_merge`` scores for it stay valid.
         """
-        self.father = self.leaf_mixture().pooled_gaussian()
+        pooled = self.leaf_mixture().pooled_gaussian()
+        father = self.father
+        if (
+            father is None
+            or father.diagonal != pooled.diagonal
+            or father.mean.tobytes() != pooled.mean.tobytes()
+            or father.covariance.tobytes() != pooled.covariance.tobytes()
+        ):
+            self.father = pooled
 
 
 @dataclass
@@ -223,6 +233,12 @@ class Coordinator:
         self._site_models: dict[tuple[int, int], tuple[GaussianMixture, int]] = {}
         self._clusters: dict[int, GlobalCluster] = {}
         self._cluster_ids = itertools.count()
+        #: ``(a_id, b_id) -> (father_a, father_b, M_merge)`` from the last
+        #: cap scan; an entry is valid while both fathers are the very
+        #: objects it was scored from (see ``_best_merge_pair``).
+        self._merge_scores: dict[
+            tuple[int, int], tuple[Gaussian, Gaussian, float]
+        ] = {}
         self.stats = CoordinatorStats()
         self.history = history
         if history is not None:
@@ -559,12 +575,20 @@ class Coordinator:
         if cap is None:
             return
         while len(self._clusters) > cap:
-            best_pair = self._best_merge_pair()
-            assert best_pair is not None
-            self._merge_clusters(*best_pair)
+            best = self._best_merge_pair()
+            assert best is not None
+            self._merge_clusters(*best)
 
-    def _best_merge_pair(self) -> tuple[int, int] | None:
-        """The cluster pair with the largest ``M_merge``.
+    def _best_merge_pair(self) -> tuple[int, int, float] | None:
+        """The cluster pair with the largest ``M_merge``, and that score.
+
+        Pairs are scanned in cluster order and the first strict maximum
+        wins.  A pair's score is reused from the previous scan while both
+        fathers are the same :class:`Gaussian` objects it was computed
+        from; fathers are immutable and every refresh, merge, removal or
+        restore installs a new object, so identity is the whole validity
+        test.  The cache holds the fathers it scored, so an identity can
+        never be recycled while an entry refers to it.
 
         With ``index_candidates`` set, each cluster is only scored
         against its KD-tree neighbourhood instead of every other
@@ -602,20 +626,36 @@ class Coordinator:
                     if score > best_score:
                         best_score = score
                         best_pair = (min(a_id, b_id), max(a_id, b_id))
-            return best_pair
+            return (*best_pair, best_score)
+        cached = self._merge_scores
+        scores: dict[tuple[int, int], tuple[Gaussian, Gaussian, float]] = {}
+        fathers = [self._clusters[i].father for i in ids]
         for a_pos, a_id in enumerate(ids):
-            for b_id in ids[a_pos + 1 :]:
-                score = m_merge(
-                    self._clusters[a_id].father,
-                    self._clusters[b_id].father,
-                )
-                if score > best_score:
-                    best_score = score
-                    best_pair = (a_id, b_id)
-        return best_pair
+            father_a = fathers[a_pos]
+            for b_pos in range(a_pos + 1, len(ids)):
+                father_b = fathers[b_pos]
+                key = (a_id, ids[b_pos])
+                entry = cached.get(key)
+                if (
+                    entry is None
+                    or entry[0] is not father_a
+                    or entry[1] is not father_b
+                ):
+                    entry = (father_a, father_b, m_merge(father_a, father_b))
+                scores[key] = entry
+                if entry[2] > best_score:
+                    best_score = entry[2]
+                    best_pair = key
+        # Only the pairs just scanned are kept: entries of merged or
+        # removed clusters go with the old dict.
+        self._merge_scores = scores
+        return (*best_pair, best_score)
 
-    def _merge_clusters(self, id_a: int, id_b: int) -> None:
-        """Merge two clusters; the father is fitted per §5.2.1."""
+    def _merge_clusters(self, id_a: int, id_b: int, score: float) -> None:
+        """Merge two clusters; the father is fitted per §5.2.1.
+
+        ``score`` is the pair's ``M_merge``, as the cap scan found it.
+        """
         with self._obs.span("coord.merge", a=id_a, b=id_b):
             cluster_a = self._clusters.pop(id_a)
             cluster_b = self._clusters.pop(id_b)
@@ -645,7 +685,7 @@ class Coordinator:
                     a=id_a,
                     b=id_b,
                     merged=merged.cluster_id,
-                    m_merge=float(m_merge(cluster_a.father, cluster_b.father)),
+                    m_merge=float(score),
                     accuracy_loss=float(fit.loss),
                     moment_loss=float(fit.moment_loss),
                     iterations=fit.iterations,

@@ -33,9 +33,9 @@ homes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,6 +249,10 @@ def _unpack_parameters(theta: np.ndarray, dim: int) -> Gaussian:
 class _MergeLoss:
     """The L1 accuracy loss on one fixed common-random-number sample set.
 
+    The sample set is drawn from the generator when the instance is
+    built; the proposal and pair densities on it are evaluated on the
+    first score, so an objective nobody scores costs only the draw.
+
     Calling the instance scores a simplex candidate ``θ`` without
     building a :class:`Gaussian`: ``L Lᵀ`` goes through the same
     :func:`~repro.numerics.linalg.spd_factorize` the ``Gaussian``
@@ -277,19 +281,27 @@ class _MergeLoss:
         self._dtrtrs = dtrtrs
         self.dim = comp_i.dim
         self.total = weight_i + weight_j
-        proposal = GaussianMixture(
+        self._pair = (weight_i, comp_i, weight_j, comp_j)
+        self._proposal = GaussianMixture(
             np.array([weight_i / self.total, weight_j / self.total]),
             (comp_i, comp_j),
         )
-        samples, _ = proposal.sample(n_samples, rng)
-        self.proposal_values = proposal.pdf(samples)
-        self.pair_values = _two_component_density(
-            weight_i, comp_i, weight_j, comp_j
-        )(samples)
+        self._drawn, _ = self._proposal.sample(n_samples, rng)
+
+    @cached_property
+    def proposal_values(self) -> np.ndarray:
+        return self._proposal.pdf(self._drawn)
+
+    @cached_property
+    def pair_values(self) -> np.ndarray:
+        return _two_component_density(*self._pair)(self._drawn)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
         # Column-major storage only speeds up the per-candidate
         # ``samples - mean`` (each column shifts by one scalar); the
         # values, and so every bit downstream, are the same.
-        self.samples = np.asfortranarray(samples)
+        return np.asfortranarray(self._drawn)
 
     def loss_of(self, candidate: Gaussian) -> float:
         """Loss of a constructed candidate component."""
@@ -338,24 +350,52 @@ class MergeFit:
         The fitted father component.
     weight:
         Its weight ``w_i + w_j``.
-    loss:
-        Final L1 accuracy-loss estimate.
-    moment_loss:
-        Loss of the moment-matched initial guess (the ablation
-        baseline); ``loss <= moment_loss`` up to Monte-Carlo noise.
     iterations:
         Simplex iterations spent.
     converged:
         Whether the simplex met its spread tolerances before its
         iteration budget ran out (always ``True`` for the moment fit).
+    loss:
+        Final L1 accuracy-loss estimate.
+    moment_loss:
+        Loss of the moment-matched initial guess (the ablation
+        baseline); ``loss <= moment_loss`` up to Monte-Carlo noise.
+
+    The simplex fit scores both losses while it searches.  The moment
+    fit scores its one loss on the first read of ``loss`` or
+    ``moment_loss``, on the sample set drawn at fit time, so the value
+    is the same float an eager fit would have produced and a fit whose
+    loss nobody reads costs no density evaluation.
     """
 
     component: Gaussian
     weight: float
-    loss: float
-    moment_loss: float
     iterations: int
     converged: bool
+    #: ``() -> (loss, moment_loss)``, called on the first read of either.
+    _score: Callable[[], tuple[float, float]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _losses(self) -> tuple[float, float]:
+        losses = self._score()
+        # Drop the objective (and its sample set) once it has been read.
+        object.__setattr__(self, "_score", None)
+        return losses
+
+    @property
+    def loss(self) -> float:
+        return self._losses[0]
+
+    @property
+    def moment_loss(self) -> float:
+        return self._losses[1]
+
+
+def _moment_losses(
+    objective: _MergeLoss, moment: Gaussian
+) -> tuple[float, float]:
+    loss = objective.loss_of(moment)
+    return loss, loss
 
 
 def fit_merged_component(
@@ -396,6 +436,9 @@ def fit_merged_component(
     Returns
     -------
     MergeFit
+        With ``method="moment"`` the sample set is still drawn here, so
+        ``rng`` advances exactly as for an eager fit, but the loss is
+        evaluated only when ``loss`` or ``moment_loss`` is first read.
     """
     if method not in ("simplex", "moment"):
         raise ValueError(f"unknown merge fit method {method!r}")
@@ -405,17 +448,16 @@ def fit_merged_component(
     moment = comp_i.merge_moments(comp_j, weight_i, weight_j)
     # Common random numbers: the proposal sample is fixed once.
     objective = _MergeLoss(weight_i, comp_i, weight_j, comp_j, n_samples, rng)
-    moment_loss = objective.loss_of(moment)
     if method == "moment":
         return MergeFit(
             component=moment,
             weight=total,
-            loss=moment_loss,
-            moment_loss=moment_loss,
             iterations=0,
             converged=True,
+            _score=partial(_moment_losses, objective, moment),
         )
 
+    moment_loss = objective.loss_of(moment)
     with obs.timer("profile.simplex"):
         result = nelder_mead(
             objective,
@@ -434,8 +476,7 @@ def fit_merged_component(
     return MergeFit(
         component=fitted,
         weight=total,
-        loss=fitted_loss,
-        moment_loss=moment_loss,
         iterations=result.iterations,
         converged=result.converged,
+        _score=lambda: (fitted_loss, moment_loss),
     )

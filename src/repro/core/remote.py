@@ -244,7 +244,10 @@ class SiteStatistics:
     zero -- and out of checkpoints -- on the classic path.
     ``archive_evictions`` counts models dropped by the
     ``archive_limit`` retention bound and likewise stays zero (and out
-    of checkpoints) while the bound is off.
+    of checkpoints) while the bound is off.  ``records_rejected``
+    counts records the site refused at ingest (wrong dimension, ``±inf``,
+    or ``NaN`` without ``handle_missing``); it too is checkpointed only
+    when non-zero.
     """
 
     records_seen: int = 0
@@ -260,6 +263,7 @@ class SiteStatistics:
     n_warm_refits: int = 0
     n_cold_refits: int = 0
     archive_evictions: int = 0
+    records_rejected: int = 0
 
     def register_message(self, message: Message) -> None:
         self.messages_sent += 1
@@ -416,6 +420,7 @@ class RemoteSite:
         common, all-finite case costs one ``isfinite`` pass.
         """
         if records.ndim > 2 or records.shape[-1] != self.config.dim:
+            self._reject(records, "dimension")
             raise ValueError(
                 f"record shape {records.shape} does not match the site's "
                 f"dimension {self.config.dim}"
@@ -423,14 +428,26 @@ class RemoteSite:
         if np.isfinite(records).all():
             return
         if np.isinf(records).any():
+            self._reject(records, "inf")
             raise ValueError(
                 "record has infinite attributes; sites accept finite "
                 "values (NaN marks a missing attribute)"
             )
         if not self.config.handle_missing:
+            self._reject(records, "nan")
             raise ValueError(
                 "record has missing attributes; enable "
                 "RemoteSiteConfig(handle_missing=True) to accept them"
+            )
+
+    def _reject(self, records: np.ndarray, reason: str) -> None:
+        """Count a rejected record (or every row of a rejected chunk)."""
+        count = 1 if records.ndim < 2 else int(np.prod(records.shape[:-1]))
+        self.stats.records_rejected += count
+        if self._obs.enabled:
+            self._obs.inc("site.rejected", count, site=self.site_id, reason=reason)
+            self._obs.event(
+                "site.rejected", site=self.site_id, reason=reason, records=count
             )
 
     def process_stream(self, records: Iterable[np.ndarray]) -> list[Message]:

@@ -148,6 +148,10 @@ _LADDER_STAT_KEYS = ("n_absorbed", "n_warm_refits", "n_cold_refits")
 #: the pre-retention format.
 _RETENTION_STAT_KEYS = ("archive_evictions",)
 
+#: The ingest rejection counter, likewise: checkpoints of sites that
+#: never rejected a record stay byte-identical to the earlier format.
+_INGEST_STAT_KEYS = ("records_rejected",)
+
 
 def snapshot_site(site: RemoteSite) -> dict:
     """Serialise a site's full state to a JSON-compatible dict."""
@@ -172,7 +176,7 @@ def snapshot_site(site: RemoteSite) -> dict:
     if config.event_limit is not None:
         config_payload["event_limit"] = config.event_limit
     stats = vars(site.stats).copy()
-    for key in _LADDER_STAT_KEYS + _RETENTION_STAT_KEYS:
+    for key in _LADDER_STAT_KEYS + _RETENTION_STAT_KEYS + _INGEST_STAT_KEYS:
         if not stats.get(key):
             stats.pop(key, None)
     payload = {

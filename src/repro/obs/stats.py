@@ -50,6 +50,7 @@ class SiteSummary:
     reactivations: int = 0
     archives: int = 0
     expirations: int = 0
+    rejected: int = 0
 
     @property
     def chunk_tests(self) -> int:
@@ -137,11 +138,17 @@ class RunSummary:
     def total_chunk_tests(self) -> int:
         return sum(s.chunk_tests for s in self.sites.values())
 
+    @property
+    def total_rejected(self) -> int:
+        """Records the sites refused at ingest."""
+        return sum(s.rejected for s in self.sites.values())
+
     def as_dict(self) -> dict:
         """JSON-safe rendering, backing ``repro stats --format json``."""
         out = asdict(self)
         out["simplex_iterations_mean"] = self.simplex_iterations_mean
         out["simplex_hit_max_iter_ratio"] = self.simplex_hit_max_iter_ratio
+        out["records_rejected"] = self.total_rejected
         out["sites"] = {
             str(site_id): asdict(site) for site_id, site in self.sites.items()
         }
@@ -179,6 +186,10 @@ def summarize_events(events: Iterable[TraceEvent]) -> RunSummary:
             summary.site(int(fields["site"])).archives += 1
         elif type_ == "site.expire":
             summary.site(int(fields["site"])).expirations += 1
+        elif type_ == "site.rejected":
+            summary.site(int(fields["site"])).rejected += int(
+                fields.get("records", 1)
+            )
         elif type_ == "em.fit":
             summary.em_fits += 1
             summary.em_iterations += int(fields.get("n_iter", 0))
@@ -334,6 +345,9 @@ def format_summary(summary: RunSummary) -> str:
                 f"{site.clusterings:>8}  {site.reactivations:>11}  "
                 f"{site.archives:>8}"
             )
+
+    if summary.total_rejected:
+        lines.append(f"ingest: rejected={summary.total_rejected}")
 
     if summary.em_fits:
         lines.append("")

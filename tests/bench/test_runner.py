@@ -185,6 +185,7 @@ class TestRegistry:
         for required in (
             "fit_em",
             "merge_fit",
+            "coordinator_cap",
             "serde_roundtrip",
             "runtime_direct",
             "runtime_simulated",
@@ -192,3 +193,12 @@ class TestRegistry:
             "calibration",
         ):
             assert required in core
+
+
+class TestCoordinatorCapScenario:
+    def test_checksum_counts_cap_work_and_is_repeatable(self):
+        run = get_scenario("coordinator_cap").build(0)
+        first = run()
+        assert first == run()
+        # merges + splits dominate the checksum: the cap loop ran.
+        assert first > 100.0

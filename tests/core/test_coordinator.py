@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.coordinator import Coordinator, CoordinatorConfig
+from repro.core import coordinator as coordinator_module
+from repro.core.coordinator import Coordinator, CoordinatorConfig, Leaf
 from repro.core.gaussian import Gaussian
+from repro.core.merging import m_merge
 from repro.core.mixture import GaussianMixture
 from repro.core.protocol import (
     DeletionMessage,
     ModelUpdateMessage,
     WeightUpdateMessage,
 )
+from repro.io.checkpoint import restore_coordinator, snapshot_coordinator
 from repro.obs.observer import Observer
 from repro.obs.stats import summarize_events
 from repro.obs.trace import RingBufferSink
@@ -328,3 +335,286 @@ class TestLandmarkMixture:
         )
         landmark = coordinator.landmark_mixture()
         assert landmark.n_components == 2
+
+
+# ----------------------------------------------------------------------
+# The cap loop's cached M_merge scores
+# ----------------------------------------------------------------------
+def drifting_messages(seed: int, n_sites: int = 4, rounds: int = 10):
+    """A seeded site-message stream that keeps the cap loop busy.
+
+    Every round each site's centre drifts and it announces a new
+    three-component model; some models then get a weight update, and
+    models two rounds old get a (sometimes total) deletion.
+    """
+    gen = np.random.default_rng(seed)
+    centers = gen.normal(scale=5.0, size=(n_sites, 2))
+    messages = []
+    for round_ in range(rounds):
+        for site in range(n_sites):
+            centers[site] += gen.normal(scale=0.8, size=2)
+            offsets = gen.normal(scale=2.5, size=(3, 2))
+            components = tuple(
+                Gaussian.spherical(
+                    centers[site] + offset, float(gen.uniform(0.3, 1.5))
+                )
+                for offset in offsets
+            )
+            mixture = GaussianMixture(gen.dirichlet(np.full(3, 2.0)), components)
+            time = 1000 * round_ + site
+            messages.append(
+                ModelUpdateMessage(
+                    site_id=site,
+                    model_id=round_,
+                    time=time,
+                    mixture=mixture,
+                    count=int(gen.integers(200, 1000)),
+                    reference_likelihood=-1.0,
+                )
+            )
+            if gen.random() < 0.4:
+                messages.append(
+                    WeightUpdateMessage(
+                        site_id=site,
+                        model_id=round_,
+                        time=time,
+                        count_delta=int(gen.integers(-150, 400)),
+                    )
+                )
+            if round_ >= 2 and gen.random() < 0.5:
+                messages.append(
+                    DeletionMessage(
+                        site_id=site,
+                        model_id=round_ - 2,
+                        time=time,
+                        count_delta=int(gen.integers(100, 900)),
+                    )
+                )
+    return messages
+
+
+def all_pairs_scan(coordinator: Coordinator) -> tuple[int, int, float]:
+    """Best pair by scoring every father pair afresh (no cache)."""
+    ids = list(coordinator._clusters)
+    best, best_score = None, -np.inf
+    for a_pos, a_id in enumerate(ids):
+        for b_id in ids[a_pos + 1 :]:
+            score = m_merge(
+                coordinator._clusters[a_id].father,
+                coordinator._clusters[b_id].father,
+            )
+            if score > best_score:
+                best, best_score = (a_id, b_id), score
+    return (*best, best_score)
+
+
+def fathers_hex(coordinator: Coordinator) -> list:
+    return [
+        (
+            cluster.cluster_id,
+            tuple(float(x).hex() for x in cluster.father.mean),
+            tuple(float(x).hex() for x in cluster.father.covariance.ravel()),
+        )
+        for cluster in coordinator.clusters
+    ]
+
+
+@st.composite
+def site_messages(draw):
+    """Model updates, weight updates and deletions over 3 sites x 3 models."""
+    messages = []
+    for step in range(draw(st.integers(4, 14))):
+        site = draw(st.integers(0, 2))
+        model = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["model", "model", "weight", "delete"]))
+        if kind == "model":
+            center = np.array(
+                [draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))]
+            )
+            spread = draw(st.floats(0.2, 2.0))
+            messages.append(
+                ModelUpdateMessage(
+                    site_id=site,
+                    model_id=model,
+                    time=step,
+                    mixture=GaussianMixture(
+                        np.array([0.6, 0.4]),
+                        (
+                            Gaussian.spherical(center, spread),
+                            Gaussian.spherical(center + spread * 3.0, 0.5),
+                        ),
+                    ),
+                    count=draw(st.integers(50, 2000)),
+                    reference_likelihood=-1.0,
+                )
+            )
+        elif kind == "weight":
+            messages.append(
+                WeightUpdateMessage(
+                    site_id=site,
+                    model_id=model,
+                    time=step,
+                    count_delta=draw(st.integers(-800, 800)),
+                )
+            )
+        else:
+            messages.append(
+                DeletionMessage(
+                    site_id=site,
+                    model_id=model,
+                    time=step,
+                    count_delta=draw(st.integers(1, 1500)),
+                )
+            )
+    return messages
+
+
+class TestMergeScoreCache:
+    @pytest.mark.parametrize("method", ["moment", "simplex"])
+    @given(messages=site_messages())
+    @settings(max_examples=25, deadline=None)
+    def test_cached_scan_equals_a_fresh_all_pairs_scan(self, method, messages):
+        coordinator = Coordinator(
+            CoordinatorConfig(
+                max_components=2,
+                merge_method=method,
+                merge_samples=64,
+                tolerate_loss=True,
+            ),
+            rng=np.random.default_rng(3),
+        )
+        cached_scan = coordinator._best_merge_pair
+        scans = []
+
+        def checked_scan():
+            expected = all_pairs_scan(coordinator)
+            found = cached_scan()
+            assert found[:2] == expected[:2]
+            assert float(found[2]).hex() == float(expected[2]).hex()
+            scans.append(found)
+            return found
+
+        coordinator._best_merge_pair = checked_scan
+        for message in messages:
+            coordinator.handle_message(message)
+        assert len(scans) == coordinator.stats.merges
+
+    def test_unchanged_fathers_are_not_rescored(self, monkeypatch):
+        coordinator = Coordinator(
+            CoordinatorConfig(max_components=4, merge_method="moment"),
+            rng=np.random.default_rng(0),
+        )
+        for message in drifting_messages(1, rounds=2):
+            coordinator.handle_message(message)
+        assert coordinator.stats.merges > 0
+        coordinator._best_merge_pair()
+        calls = []
+        monkeypatch.setattr(
+            coordinator_module,
+            "m_merge",
+            lambda a, b: calls.append((a, b)) or m_merge(a, b),
+        )
+        best = coordinator._best_merge_pair()
+        assert calls == []
+        assert best == all_pairs_scan(coordinator)
+        # A new father invalidates exactly the pairs that include it.
+        cluster = coordinator.clusters[0]
+        cluster.father = None
+        cluster.refresh_father()
+        coordinator._best_merge_pair()
+        assert len(calls) == coordinator.n_components - 1
+        assert all(cluster.father in pair for pair in calls)
+
+    def test_bitwise_equal_refresh_keeps_the_father_object(self):
+        coordinator = Coordinator(
+            CoordinatorConfig(max_components=None),
+            rng=np.random.default_rng(0),
+        )
+        coordinator.handle_message(model_update(0, 0, site_mixture(np.zeros(2))))
+        cluster = coordinator.clusters[0]
+        father = cluster.father
+        cluster.refresh_father()
+        assert cluster.father is father
+        cluster.leaves.append(
+            Leaf(
+                site_id=1,
+                model_id=0,
+                component_index=0,
+                gaussian=Gaussian.spherical(np.array([1.0, 0.0]), 0.5),
+                weight=10.0,
+            )
+        )
+        cluster.refresh_father()
+        assert cluster.father is not father
+
+    @pytest.mark.parametrize("method", ["moment", "simplex"])
+    def test_checkpoint_mid_stream_continues_identically(self, method):
+        config = CoordinatorConfig(
+            max_components=4, merge_method=method, merge_samples=64
+        )
+        messages = drifting_messages(7, rounds=4)
+        uninterrupted = Coordinator(config, rng=np.random.default_rng(5))
+        for message in messages:
+            uninterrupted.handle_message(message)
+
+        first = Coordinator(config, rng=np.random.default_rng(5))
+        half = len(messages) // 2
+        for message in messages[:half]:
+            first.handle_message(message)
+        payload = json.loads(json.dumps(snapshot_coordinator(first)))
+        resumed = restore_coordinator(payload)
+        for message in messages[half:]:
+            resumed.handle_message(message)
+
+        assert uninterrupted.stats.merges > 0
+        assert resumed.stats.merges == uninterrupted.stats.merges
+        assert resumed.stats.splits == uninterrupted.stats.splits
+        assert fathers_hex(resumed) == fathers_hex(uninterrupted)
+
+
+#: ``drifting_messages(11)`` through a moment-merge coordinator at cap 4
+#: with ``rng=default_rng(5)``, recorded before the cap loop cached its
+#: scores: merge and split counts and every father as ``float.hex``.
+GOLDEN_MOMENT_RUN = {
+    "merges": 421,
+    "splits": 512,
+    "fathers": [
+        (
+            727,
+            ("0x1.17140bf809e74p+3", "0x1.4211c0aced307p+3"),
+            ("0x1.7a961387340d0p+0", "-0x1.7c06f9c76d7b0p-2",
+             "-0x1.7c06f9c76d7b0p-2", "0x1.178b9852f3fdap+2"),
+        ),
+        (
+            755,
+            ("0x1.6b7a24a95657cp+3", "-0x1.e44ccc5a5424fp+2"),
+            ("0x1.e521d7046088cp-1", "-0x1.b411762c1ae11p-6",
+             "-0x1.b411762c1ae11p-6", "0x1.1f346f38bfeb3p-1"),
+        ),
+        (
+            823,
+            ("0x1.581176889927ap+2", "0x1.027be1544885bp+3"),
+            ("0x1.493a2f75fe87fp-2", "0x0.0p+0",
+             "0x0.0p+0", "0x1.493a2f75fe87fp-2"),
+        ),
+        (
+            845,
+            ("0x1.9a67b408d7a6ap+1", "-0x1.04e1e6d414732p+0"),
+            ("0x1.c4ecc3c0cbf9ep+3", "-0x1.df7e25bb3ee71p-1",
+             "-0x1.df7e25bb3ee71p-1", "0x1.6ce8369b2300bp+4"),
+        ),
+    ],
+}
+
+
+class TestGoldenMomentRun:
+    def test_run_matches_recorded_values(self):
+        coordinator = Coordinator(
+            CoordinatorConfig(max_components=4, merge_method="moment"),
+            rng=np.random.default_rng(5),
+        )
+        for message in drifting_messages(11):
+            coordinator.handle_message(message)
+        assert coordinator.stats.merges == GOLDEN_MOMENT_RUN["merges"]
+        assert coordinator.stats.splits == GOLDEN_MOMENT_RUN["splits"]
+        assert fathers_hex(coordinator) == GOLDEN_MOMENT_RUN["fathers"]

@@ -298,6 +298,71 @@ class TestMergeLossKernel:
         assert objective.loss_of(candidate) == _gaussian_loss(objective, candidate)
 
 
+# ----------------------------------------------------------------------
+# The moment fit scores its loss on first read
+# ----------------------------------------------------------------------
+@st.composite
+def merge_pairs(draw):
+    """``(w_i, comp_i, w_j, comp_j, seed)`` with d = 1..5 and full covariances."""
+    dim = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    components = []
+    for _ in range(2):
+        raw = gen.normal(size=(dim, dim))
+        components.append(
+            Gaussian(
+                gen.normal(scale=3.0, size=dim),
+                raw @ raw.T + gen.uniform(0.1, 2.0) * np.eye(dim),
+            )
+        )
+    weight_i = draw(st.floats(0.05, 50.0))
+    weight_j = draw(st.floats(0.05, 50.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return weight_i, components[0], weight_j, components[1], seed
+
+
+class TestDeferredMomentLoss:
+    @given(merge_pairs(), st.sampled_from([64, 257, 2048]))
+    @settings(max_examples=60, deadline=None)
+    def test_losses_and_generator_match_the_eager_route(self, pair, n_samples):
+        weight_i, comp_i, weight_j, comp_j, seed = pair
+        eager_rng = np.random.default_rng(seed)
+        objective = _MergeLoss(
+            weight_i, comp_i, weight_j, comp_j, n_samples, eager_rng
+        )
+        eager = objective.loss_of(comp_i.merge_moments(comp_j, weight_i, weight_j))
+
+        rng = np.random.default_rng(seed)
+        fit = fit_merged_component(
+            weight_i, comp_i, weight_j, comp_j,
+            n_samples=n_samples, rng=rng, method="moment",
+        )
+        # The sample set was drawn at fit time, before any read.
+        assert rng.bit_generator.state == eager_rng.bit_generator.state
+        assert float(fit.loss).hex() == float(eager).hex()
+        assert float(fit.moment_loss).hex() == float(eager).hex()
+        assert float(fit.loss).hex() == float(eager).hex()
+        assert rng.bit_generator.state == eager_rng.bit_generator.state
+
+    def test_no_density_is_evaluated_until_the_loss_is_read(self, monkeypatch):
+        a = Gaussian.spherical(np.array([-1.0, 0.5]), 1.0)
+        b = Gaussian.spherical(np.array([1.0, 0.0]), 2.0)
+        calls = []
+        pdf = Gaussian.pdf
+        monkeypatch.setattr(
+            Gaussian, "pdf", lambda self, x: calls.append(x) or pdf(self, x)
+        )
+        fit = fit_merged_component(
+            0.3, a, 0.7, b, rng=np.random.default_rng(4), method="moment"
+        )
+        assert calls == []
+        loss = fit.moment_loss
+        assert calls and np.isfinite(loss)
+        evaluated = len(calls)
+        assert fit.loss == loss
+        assert len(calls) == evaluated
+
+
 #: ``fit_merged_component`` on the merge-fit ablation's pairs with
 #: ``rng=default_rng(1)``, recorded before the candidate kernel replaced
 #: per-candidate ``Gaussian`` construction: mean, covariance (row-major),

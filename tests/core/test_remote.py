@@ -14,6 +14,10 @@ from repro.core.protocol import (
     WeightUpdateMessage,
 )
 from repro.core.remote import RemoteSite, RemoteSiteConfig
+from repro.io.checkpoint import restore_site, snapshot_site
+from repro.obs.observer import Observer
+from repro.obs.stats import format_summary, summarize_events
+from repro.obs.trace import RingBufferSink
 
 
 def make_mixture(center: float) -> GaussianMixture:
@@ -229,6 +233,42 @@ class TestChunkEntryPoint:
         with pytest.raises(ValueError, match="missing attributes"):
             site.process_chunk(chunk)
         assert site.stats.records_seen == 0
+
+
+class TestIngestRejectionCounter:
+    def test_each_refusal_is_counted_by_reason(self, site: RemoteSite):
+        sink = RingBufferSink()
+        observer = Observer(sink=sink)
+        site = RemoteSite(0, site.config, observer=observer)
+        for bad in (np.zeros(5), np.array([1.0, np.inf]), np.array([np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                site.process_record(bad)
+        chunk = stream_of(make_mixture(0.0), site.chunk, 2)
+        chunk[3, 0] = -np.inf
+        with pytest.raises(ValueError, match="infinite"):
+            site.process_chunk(chunk)
+        assert site.stats.records_rejected == 3 + site.chunk
+        assert site.stats.records_seen == 0
+        registry = observer.registry
+        assert registry.counter("site.rejected", site=0, reason="dimension").value == 1
+        assert registry.counter("site.rejected", site=0, reason="nan").value == 1
+        assert (
+            registry.counter("site.rejected", site=0, reason="inf").value
+            == 1 + site.chunk
+        )
+        summary = summarize_events(sink.events)
+        assert summary.total_rejected == site.stats.records_rejected
+        assert f"ingest: rejected={3 + site.chunk}" in format_summary(summary)
+        assert summary.as_dict()["records_rejected"] == 3 + site.chunk
+
+    def test_checkpointed_only_when_non_zero(self, site: RemoteSite):
+        site.process_record(np.array([0.5, 0.5]))
+        assert "records_rejected" not in snapshot_site(site)["stats"]
+        with pytest.raises(ValueError, match="dimension"):
+            site.process_record(np.zeros(3))
+        payload = snapshot_site(site)
+        assert payload["stats"]["records_rejected"] == 1
+        assert restore_site(payload).stats.records_rejected == 1
 
 
 class TestExpire:
