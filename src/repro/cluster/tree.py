@@ -515,17 +515,27 @@ class TransportTree:
     # Stream processing
     # ------------------------------------------------------------------
     def feed(self, leaf_id: int, record: np.ndarray) -> None:
-        """Deliver one record to a leaf; uploads ride the transport."""
+        """Deliver one record to a leaf; uploads ride the transport.
+
+        With faults configured, a record that emitted a message is
+        drained up to the root before the call returns; a record that
+        emitted nothing skips the drain, which would have returned at
+        once (see :func:`~repro.transport.endpoint.drain`).
+        """
         leaf = self._leaves.get(leaf_id)
         if leaf is None:
             raise KeyError(f"unknown leaf {leaf_id}")
-        leaf.site.process_record(record)
+        emitted = leaf.site.process_record(record)
         self.records_fed += 1
-        if self._faults is not None:
+        if emitted and self._faults is not None:
             self.drain()
 
     def drain(self, step: float = 0.25, limit: float = 600.0) -> float:
-        """Advance the clock until every edge's outbox is empty."""
+        """Advance the clock until every edge's outbox is empty.
+
+        Unconditional: callers use it to settle the tree at the end of a
+        stream or before inspecting it, whatever the last record did.
+        """
         return drain_endpoints(self.clock, self._edges, step, limit)
 
     def close(self) -> None:

@@ -16,8 +16,9 @@ in flight to land, e.g. before a checkpoint), ``finish`` and ``close``
   advances the virtual clock to each record's arrival time;
 * :class:`TransportChannel` -- the full ARQ transport stack
   (:mod:`repro.transport`); ``submit`` drains the reliable outboxes
-  after every record so delivery order equals emission order even
-  under seeded faults.
+  after every record that emitted a message, so every outbox is empty
+  when it returns and delivery order equals emission order even under
+  seeded faults.
 
 Each backend honours the same :class:`~repro.runtime.faults.ChannelFaults`
 spec and reports the same :class:`~repro.runtime.accounting.DeliveryAccounting`
@@ -280,11 +281,15 @@ class SimulatedChannel(Channel):
 class TransportChannel(Channel):
     """The fault-tolerant ARQ transport stack as a runtime backend.
 
-    ``submit`` feeds the site and then drains the reliable outboxes (the
-    manual clock is advanced until every payload is acknowledged), so
-    delivery order equals emission order and the coordinator converges
-    to the loss-free state whatever the fault pattern -- the property
-    the transport convergence suite pins down.
+    ``submit`` feeds the site and, when the record emitted a message,
+    drains the reliable outboxes (the manual clock is advanced until
+    every payload is acknowledged), so delivery order equals emission
+    order and the coordinator converges to the loss-free state whatever
+    the fault pattern -- the property the transport convergence suite
+    pins down.  A record that emits nothing skips the drain: the
+    previous drain left every outbox empty, only a site send refills
+    one, and the clock moves only inside a drain, so that drain would
+    have returned at once.
 
     Parameters
     ----------
@@ -296,7 +301,7 @@ class TransportChannel(Channel):
     reliability:
         Optional :class:`~repro.transport.reliability.ReliabilityConfig`.
     drain_step / drain_limit:
-        Clock step and safety bound of each post-record drain.
+        Clock step and safety bound of each drain.
     seed:
         Base seed for per-site retransmission jitter.
     faults:
@@ -374,12 +379,13 @@ class TransportChannel(Channel):
         from repro.transport.endpoint import drain
 
         messages = site.process_record(record)
-        drain(
-            self._clock,
-            self.endpoints,
-            step=self._drain_step,
-            limit=self._drain_limit,
-        )
+        if messages:
+            drain(
+                self._clock,
+                self.endpoints,
+                step=self._drain_step,
+                limit=self._drain_limit,
+            )
         return messages
 
     def quiesce(self):

@@ -313,6 +313,16 @@ def drain(
     pattern short of a permanent partition.  Returns the clock time
     spent; raises ``RuntimeError`` if ``limit`` seconds pass without the
     outboxes draining (a genuinely dead link).
+
+    Postcondition: after ``drain`` returns, no endpoint has outstanding
+    work -- every outbox and every coalescing queue is empty -- and
+    callers may rely on it.  Only a site send refills an outbox
+    (telemetry and DONE envelopes never enter one) and the clock moves
+    only inside a drain, so until the next send a further call returns
+    ``0.0`` without advancing the clock; per-record drivers
+    (:meth:`~repro.runtime.channel.TransportChannel.submit`,
+    :meth:`~repro.cluster.tree.TransportTree.feed`) therefore drain only
+    after a record that emitted a message.
     """
     spent = 0.0
     while any(endpoint.outstanding() for endpoint in endpoints):

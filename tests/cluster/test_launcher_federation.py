@@ -65,13 +65,24 @@ def live_cluster():
 class TestClusterHealth:
     def test_every_node_reports_live(self, live_cluster):
         spec, url = live_cluster
+        # A site whose latest chunk test was a false alarm (pass rate
+        # ~0.999 on these stationary streams) honestly reports
+        # ``drifting`` for a telemetry interval, so the cluster is not
+        # ``ok`` at every instant.  Wait for one scrape that has every
+        # node live *and* the cluster ok, then assert on that scrape.
         deadline = time.time() + 90.0
         while True:
             health = fetch(url, "/cluster/health")
-            if health["nodes"]["live"] == len(spec.nodes):
+            if (
+                health["nodes"]["live"] == len(spec.nodes)
+                and health["status"] == "ok"
+            ):
                 break
             if time.time() > deadline:
-                pytest.fail(f"nodes never all went live: {health['nodes']}")
+                pytest.fail(
+                    "no scrape had every node live and status ok: "
+                    f"nodes={health['nodes']} status={health['status']}"
+                )
             time.sleep(0.3)
         assert health["nodes"] == {
             "expected": len(spec.nodes),
